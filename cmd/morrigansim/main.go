@@ -13,9 +13,7 @@
 //	morrigansim -workload qmm-srv-01 -corpus corpus/ -prefetcher morrigan
 //	morrigansim -prefetcher morrigan -dump-config spec.json
 //	morrigansim -workload qmm-srv-07 -config spec.json
-//	morrigansim -workload qmm-srv-01,qmm-srv-02 -journal run.journal
-//	morrigansim -workload qmm-srv-01,qmm-srv-02 -journal run.journal -resume
-//	morrigansim -workload qmm-srv-01,qmm-srv-02 -results results/
+//	morrigansim -workload qmm-srv-01,qmm-srv-02 -results results/  # rerun a killed campaign to resume it
 //	morrigansim -workload qmm-srv-01,qmm-srv-02 -fabric :9090
 //	morrigansim -workload qmm-srv-01 -smt qmm-srv-19 -dry-run
 //	morrigansim -workload qmm-srv-01,qmm-srv-02 -trace-out trace.json
@@ -27,18 +25,14 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"sort"
 	"strings"
 	"syscall"
-	"time"
 
 	"morrigan"
-	"morrigan/internal/profile"
+	"morrigan/internal/cli"
 )
 
 func main() {
@@ -56,48 +50,16 @@ func main() {
 		pb        = flag.Int("pb", 64, "prefetch buffer entries")
 		warmup    = flag.Uint64("warmup", 1_000_000, "warmup instructions")
 		measure   = flag.Uint64("measure", 5_000_000, "measured instructions")
-		jobs      = flag.Int("jobs", 0, "concurrent simulations (0 = GOMAXPROCS, 1 = serial)")
-		jsonOut   = flag.String("json", "", "write per-simulation results as JSON to a file ('-' for stdout)")
-		csvOut    = flag.String("csv", "", "write per-simulation results as CSV to a file ('-' for stdout)")
-		telemOut  = flag.String("telemetry", "", "write per-simulation telemetry JSONL files into this directory")
 		interval  = flag.Uint64("interval", 0, "telemetry sampling interval in instructions (0 = default 100000)")
 		events    = flag.Int("events", 0, "telemetry event-ring capacity (0 = default 4096, negative disables the event trace)")
-		serve     = flag.String("serve", "", "serve live observability HTTP on this address (e.g. :8080): /metrics, /campaign, /events, /healthz, /debug/pprof")
-		serveJobs = flag.String("serve-jobs", "", "run as a job-API daemon on this address instead of simulating: multi-tenant HTTP campaign API plus the -serve observability surface (honours -serve-token, -results, -corpus, -jobs, -fabric)")
-		serveTok  = flag.String("serve-token", "dev-token", "bearer token for the single 'default' tenant in -serve-jobs mode")
-		benchOut  = flag.String("bench", "", "write a BENCH_*.json throughput summary to this file ('-' for stdout)")
-		corpus    = flag.String("corpus", "", "feed workloads from materialised trace corpora in this directory (built on first use)")
-		corpusMB  = flag.Int64("corpus-cache-mb", 0, "decoded-chunk cache budget in MiB shared by all jobs (0 = default 512)")
 		confIn    = flag.String("config", "", "load the machine spec from this JSON file (overrides the machine flags)")
 		confOut   = flag.String("dump-config", "", "write the machine spec as JSON to this file ('-' for stdout) and exit")
-		journal   = flag.String("journal", "", "checkpoint completed simulations to this journal file")
-		resume    = flag.Bool("resume", false, "serve already-journaled results from -journal instead of re-simulating")
-		results   = flag.String("results", "", "durable result store directory: reuse stored results across runs and persist new ones")
-		fabricURL = flag.String("fabric", "", "serve a distributed-campaign coordinator on this address (e.g. :9090) and delegate jobs to fabric workers")
-		traceOut  = flag.String("trace-out", "", "write a distributed trace of every job's lifecycle phases to this file (.jsonl for JSONL, otherwise Chrome trace-event JSON for Perfetto)")
-		sample    = flag.Bool("sample", false, "representative-interval sampling: time only clustered representative slices and report extrapolated stats with 95% CIs")
-		sampleInt = flag.Uint64("sample-interval", 0, "sampling interval length in instructions (0 = default 100000; -measure must be a multiple)")
-		sampleK   = flag.Int("sample-clusters", 0, "sampling cluster count / representative slices per run (0 = default 8)")
-		sampleWu  = flag.Int64("sample-warmup", -1, "timed slice warmup instructions before each representative (-1 = default 25000, 0 = none)")
-		dryRun    = flag.Bool("dry-run", false, "print enumerated jobs (key, machine and workload hashes, scale) without simulating")
-		verbose   = flag.Bool("v", false, "print per-simulation progress with ETA")
 		list      = flag.Bool("list", false, "list built-in workloads and exit")
-		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memProf   = flag.String("memprofile", "", "write a heap profile to this file when the run completes")
 		refLoop   = flag.Bool("reference-loop", false, "run the per-record reference loop instead of the batched pipeline (verification; Stats are bit-identical, only throughput differs)")
+		cf        cli.Flags
 	)
+	cf.Register(flag.CommandLine)
 	flag.Parse()
-
-	stopProf, profErr := profile.Start(*cpuProf, *memProf)
-	if profErr != nil {
-		fatal("%v", profErr)
-	}
-	flushProfiles := func() {
-		if err := stopProf(); err != nil {
-			fmt.Fprintln(os.Stderr, "morrigansim:", err)
-		}
-	}
-	defer flushProfiles()
 
 	if *list {
 		var names []string
@@ -114,11 +76,6 @@ func main() {
 		for _, n := range names {
 			fmt.Println(n)
 		}
-		return
-	}
-
-	if *serveJobs != "" {
-		serveJobsDaemon(*serveJobs, *serveTok, *results, *corpus, *fabricURL, *jobs, *corpusMB)
 		return
 	}
 
@@ -167,44 +124,20 @@ func main() {
 		return
 	}
 
-	var store *morrigan.CorpusStore
-	if *corpus != "" {
-		var err error
-		store, err = morrigan.OpenCorpusStore(morrigan.CorpusOptions{
-			Dir:        *corpus,
-			CacheBytes: *corpusMB << 20,
-		})
-		if err != nil {
-			fatal("%v", err)
-		}
-		defer store.Close()
-	}
-
 	cjobs := buildJobs(*workload, *traceFile, *smt, spec, *warmup, *measure)
 	if *refLoop {
-		// Instrumented jobs opt out of keyed reuse (journal/store/cache), so
-		// a reference-loop run always simulates — exactly what the CI
+		// Instrumented jobs opt out of keyed reuse (store/cache), so a
+		// reference-loop run always simulates — exactly what the CI
 		// equivalence gate wants.
 		for i := range cjobs {
 			cjobs[i].Instrument = func(cfg *morrigan.Config) { cfg.ReferenceLoop = true }
 		}
 	}
-	var pol *morrigan.SamplingPolicy
-	if *sample {
-		p := morrigan.DefaultSamplingPolicy()
-		if *sampleInt != 0 {
-			p.Interval = *sampleInt
-		}
-		if *sampleK != 0 {
-			p.Clusters = *sampleK
-		}
-		if *sampleWu >= 0 {
-			p.SliceWarmup = uint64(*sampleWu)
-		}
-		if err := p.Validate(*measure); err != nil {
-			fatal("%v", err)
-		}
-		pol = &p
+	pol, err := cf.Policy(*measure)
+	if err != nil {
+		fatal("%v", err)
+	}
+	if pol != nil {
 		for i := range cjobs {
 			// Sampling needs a single workload-described stream: trace-file
 			// jobs (NewThreads) and SMT pairs must simulate in full.
@@ -214,109 +147,26 @@ func main() {
 			cjobs[i].Sampling = pol
 		}
 	}
-	if *dryRun {
+	if cf.DryRun {
 		for _, j := range cjobs {
 			fmt.Println(j.Describe())
 		}
 		return
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	opt := morrigan.CampaignOptions{Workers: *jobs}
-	var tracer *morrigan.TraceRecorder
-	if *traceOut != "" {
-		tracer = morrigan.NewTraceRecorder("")
-		opt.Spans = tracer
+	c, err := cf.Start("morrigansim", *measure)
+	if err != nil {
+		c.Close()
+		fatal("%v", err)
 	}
-	var profiles *morrigan.SamplingProfileStore
-	if pol != nil && *corpus != "" {
-		// Profile artifacts live beside the trace corpus so repeated sampled
-		// campaigns skip the functional profiling pass.
-		var err error
-		profiles, err = morrigan.OpenSamplingProfileStore(filepath.Join(*corpus, "profiles"))
-		if err != nil {
-			fatal("profiles: %v", err)
-		}
-		opt.Profiles = profiles
+	defer c.Close()
+	if c.Telemetry != nil {
+		c.Telemetry.Config = morrigan.TelemetryConfig{Interval: *interval, EventBuffer: *events}
 	}
-	if store != nil {
-		opt.NewReader = func(w morrigan.Workload) (morrigan.TraceReader, error) {
-			c, err := store.Materialize(w, *warmup+*measure)
-			if err != nil {
-				return nil, fmt.Errorf("corpus %s: %w", w.Name, err)
-			}
-			return c.NewReader(), nil
-		}
-	}
-	if *journal != "" {
-		jn, err := morrigan.OpenCampaignJournal(*journal, *resume)
-		if err != nil {
-			fatal("journal: %v", err)
-		}
-		defer jn.Close()
-		if *resume && jn.Len() > 0 {
-			fmt.Fprintf(os.Stderr, "morrigansim: resuming with %d journaled results\n", jn.Len())
-		}
-		opt.Journal = jn
-	} else if *resume {
-		fatal("-resume requires -journal")
-	}
-	if *verbose {
-		opt.Progress = morrigan.CampaignWriterProgress(os.Stderr)
-	}
-	if *telemOut != "" {
-		opt.Telemetry = &morrigan.CampaignTelemetry{
-			Dir:    *telemOut,
-			Config: morrigan.TelemetryConfig{Interval: *interval, EventBuffer: *events},
-		}
-	}
-	if *results != "" {
-		rs, err := morrigan.OpenResultStore(*results)
-		if err != nil {
-			fatal("results: %v", err)
-		}
-		if rs.Len() > 0 || rs.Skipped() > 0 {
-			fmt.Fprintf(os.Stderr, "morrigansim: result store holds %d reusable results (%d unverifiable skipped)\n",
-				rs.Len(), rs.Skipped())
-		}
-		opt.Store = rs
-	}
-	var srv *morrigan.ObservabilityServer
-	if *serve != "" {
-		srv = morrigan.NewObservabilityServer()
-		addr, err := srv.Start(*serve)
-		if err != nil {
-			fatal("serve: %v", err)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "morrigansim: observability on http://%s/metrics\n", addr)
-		opt.Observer = srv
-		if opt.Journal != nil {
-			srv.AddReadiness("journal", opt.Journal.Writable)
-		}
-		if pol != nil {
-			srv.AddGaugeSource(morrigan.SamplingGauges(profiles))
-		}
-	}
-	if *fabricURL != "" {
-		coord := morrigan.NewFabricCoordinator(morrigan.FabricCoordinatorOptions{
-			Corpus: store,
-			Log:    os.Stderr,
-			Spans:  tracer,
-		})
-		addr, err := coord.Start(*fabricURL)
-		if err != nil {
-			fatal("fabric: %v", err)
-		}
-		defer coord.Close()
-		fmt.Fprintf(os.Stderr, "morrigansim: fabric coordinator on http://%s/fabric/status — start workers with: fabric work -coordinator http://%s\n", addr, addr)
-		opt.Remote = coord
-		if srv != nil {
-			srv.AddGaugeSource(coord.Gauges)
-		}
-	}
-	campaignResults, err := morrigan.RunCampaign(ctx, cjobs, opt)
+	campaignResults, err := morrigan.RunCampaign(ctx, cjobs, c.Options(*warmup+*measure))
+	c.Record.Add(campaignResults)
 
 	for i, res := range campaignResults {
 		if res.Err != nil {
@@ -340,81 +190,13 @@ func main() {
 			fmt.Printf("telemetry       %s\n", res.TelemetryPath)
 		}
 	}
-	writeCampaign(*jsonOut, campaignResults, (*morrigan.Campaign).WriteJSON)
-	writeCampaign(*csvOut, campaignResults, (*morrigan.Campaign).WriteCSV)
-	writeBench(*benchOut, campaignResults, store, tracer)
-	if tracer != nil {
-		if err := morrigan.WriteTraceFile(*traceOut, tracer.Spans()); err != nil {
-			fatal("trace-out: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "morrigansim: wrote %d trace spans to %s\n", tracer.Len(), *traceOut)
+	if ferr := c.Finish(ctx); ferr != nil {
+		c.Close()
+		fatal("%v", ferr)
 	}
 	if err != nil {
-		flushProfiles()
+		c.Close()
 		os.Exit(1)
-	}
-}
-
-// writeBench stamps the campaign's throughput summary (the BENCH_*.json
-// trajectory artifact) to path ('-' for stdout); an empty path is a no-op.
-func writeBench(path string, results []morrigan.CampaignResult, store *morrigan.CorpusStore, tracer *morrigan.TraceRecorder) {
-	if path == "" {
-		return
-	}
-	c := morrigan.Campaign{Schema: morrigan.CampaignSchemaVersion}
-	for _, res := range results {
-		c.Records = append(c.Records, morrigan.NewCampaignRecord(res))
-	}
-	b := morrigan.NewCampaignBench(c)
-	if tracer != nil {
-		b.Phases = morrigan.TraceBreakdown(tracer.Spans())
-	}
-	if store != nil {
-		cs := store.CacheStats()
-		b.TraceSupply = &morrigan.CampaignTraceSupply{
-			CorpusDir:      store.Dir(),
-			CacheGets:      cs.Gets,
-			CacheHits:      cs.Hits,
-			CacheDecodes:   cs.Decodes,
-			CacheEvictions: cs.Evictions,
-			ResidentBytes:  cs.ResidentBytes,
-		}
-	}
-	var w io.Writer = os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			fatal("%v", err)
-		}
-		defer f.Close()
-		w = f
-	}
-	if err := b.WriteJSON(w); err != nil {
-		fatal("%v", err)
-	}
-}
-
-// writeCampaign emits the campaign's machine-readable results to path ('-'
-// for stdout) using the given emitter; an empty path is a no-op.
-func writeCampaign(path string, results []morrigan.CampaignResult, emit func(*morrigan.Campaign, io.Writer) error) {
-	if path == "" {
-		return
-	}
-	c := morrigan.Campaign{Schema: morrigan.CampaignSchemaVersion}
-	for _, res := range results {
-		c.Records = append(c.Records, morrigan.NewCampaignRecord(res))
-	}
-	var w io.Writer = os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			fatal("%v", err)
-		}
-		defer f.Close()
-		w = f
-	}
-	if err := emit(&c, w); err != nil {
-		fatal("%v", err)
 	}
 }
 
@@ -472,7 +254,7 @@ func specFromFlags(pf, icachePf string, perfect, p2tlb, asap, icacheTLB bool, st
 // buildJobs enumerates one campaign job per requested workload (or one for
 // the trace file), optionally colocating the -smt workload on every run.
 // Workload jobs are pure data — machine spec plus workload specs — so they
-// carry the canonical identity -journal/-resume keys on (corpus feeding, when
+// carry the canonical identity -results keys on (corpus feeding, when
 // enabled, rides CampaignOptions.NewReader). The -trace job streams records
 // from a file the workload vocabulary cannot describe, so it uses the
 // NewThreads escape hatch and always executes; its SMT sibling, if any, runs
@@ -564,103 +346,4 @@ func printStats(label, pf string, st morrigan.Stats) {
 func fatal(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "morrigansim: "+format+"\n", args...)
 	os.Exit(1)
-}
-
-// serveJobsDaemon turns morrigansim into the simulation-as-a-service daemon:
-// a single-tenant job API (token auth, queue, quotas, result-store reuse)
-// sharing one listener with the observability surface. SIGTERM/SIGINT drains
-// the in-flight campaign and exits 0. For multi-tenant deployments use
-// cmd/service, which adds a tenants file and fabric delegation flags.
-func serveJobsDaemon(addr, token, results, corpus, fabricAddr string, jobs int, corpusMB int64) {
-	obsSrv := morrigan.NewObservabilityServer()
-	opt := morrigan.JobServiceOptions{
-		Tenants:  []morrigan.ServiceTenant{{Name: "default", Token: token, MaxQueuedJobs: 4096}},
-		Workers:  jobs,
-		Cache:    morrigan.NewCampaignResultCache(),
-		Observer: obsSrv,
-		Log:      os.Stderr,
-	}
-	if results != "" {
-		rs, err := morrigan.OpenResultStore(results)
-		if err != nil {
-			fatal("results: %v", err)
-		}
-		if rs.Len() > 0 {
-			fmt.Fprintf(os.Stderr, "morrigansim: result store holds %d reusable results\n", rs.Len())
-		}
-		opt.Store = rs
-	}
-	var cs *morrigan.CorpusStore
-	if corpus != "" {
-		var err error
-		cs, err = morrigan.OpenCorpusStore(morrigan.CorpusOptions{Dir: corpus, CacheBytes: corpusMB << 20})
-		if err != nil {
-			fatal("%v", err)
-		}
-		defer cs.Close()
-		opt.NewReader = func(w morrigan.Workload) (morrigan.TraceReader, error) {
-			c, err := cs.Materialize(w, 0)
-			if err != nil {
-				return nil, fmt.Errorf("corpus %s: %w", w.Name, err)
-			}
-			return c.NewReader(), nil
-		}
-	}
-	var coord *morrigan.FabricCoordinator
-	if fabricAddr != "" {
-		coord = morrigan.NewFabricCoordinator(morrigan.FabricCoordinatorOptions{Corpus: cs, Log: os.Stderr})
-		baddr, err := coord.Start(fabricAddr)
-		if err != nil {
-			fatal("fabric: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "morrigansim: fabric coordinator on http://%s\n", baddr)
-		opt.Remote = coord
-		obsSrv.AddGaugeSource(coord.Gauges)
-	}
-
-	svc, err := morrigan.NewJobService(opt)
-	if err != nil {
-		fatal("%v", err)
-	}
-	obsSrv.AddGaugeSource(svc.Gauges)
-
-	mux := http.NewServeMux()
-	mux.Handle("/api/v1/", svc.Handler())
-	mux.Handle("/", obsSrv.Handler())
-	lis, err := net.Listen("tcp", addr)
-	if err != nil {
-		fatal("%v", err)
-	}
-	srv := &http.Server{Handler: mux}
-	served := make(chan struct{})
-	go func() {
-		defer close(served)
-		_ = srv.Serve(lis)
-	}()
-	fmt.Fprintf(os.Stderr, "morrigansim: job API on http://%s/api/v1/campaigns (tenant 'default')\n", lis.Addr())
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	<-ctx.Done()
-	stop()
-
-	fmt.Fprintln(os.Stderr, "morrigansim: draining (admission closed)")
-	dctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	if err := svc.Drain(dctx); err != nil {
-		fmt.Fprintf(os.Stderr, "morrigansim: %v\n", err)
-	}
-	if coord != nil {
-		if err := coord.Drain(dctx); err != nil {
-			fmt.Fprintf(os.Stderr, "morrigansim: %v\n", err)
-		}
-		coord.Close()
-	}
-	svc.Close()
-	sctx, scancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer scancel()
-	_ = srv.Shutdown(sctx)
-	<-served
-	_ = obsSrv.Close()
-	fmt.Fprintln(os.Stderr, "morrigansim: drained; exiting")
 }

@@ -12,7 +12,7 @@
 // Examples:
 //
 //	service -addr :8080 -token dev-token -results results/
-//	service -addr :8080 -tenants tenants.json -results results/ -corpus corpus/
+//	service -addr :8080 -tenants tenants.json -results results/ -corpus corpus/ -corpus-cache-mb 1024
 //	service -addr :8080 -token dev-token -fabric :9090 -results results/
 //
 // tenants.json is a JSON array of tenant declarations:
@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"morrigan"
+	"morrigan/internal/cli"
 )
 
 func main() {
@@ -41,14 +42,14 @@ func main() {
 		addr     = flag.String("addr", ":8080", "listen address for the job API and observability endpoints")
 		tenants  = flag.String("tenants", "", "JSON file declaring tenants (array of {name, token, max_queued_jobs, max_instructions})")
 		token    = flag.String("token", "", "convenience single-tenant mode: one tenant 'default' with this token and a 4096-job quota")
-		results  = flag.String("results", "", "durable result store directory: repeat submissions are served without simulating")
-		corpus   = flag.String("corpus", "", "trace corpus directory; feeds simulations from materialised containers")
 		fabric   = flag.String("fabric", "", "serve a fabric coordinator on this address and delegate jobs to workers")
 		jobs     = flag.Int("jobs", 0, "concurrent simulations per campaign (0 = GOMAXPROCS)")
 		queue    = flag.Int("queue", 0, "max queued campaigns across all tenants (0 = 64)")
 		drainFor = flag.Duration("drain-timeout", 2*time.Minute, "how long a SIGTERM waits for the in-flight campaign before forcing exit")
 		verbose  = flag.Bool("v", false, "log admissions and completions")
+		stores   cli.Stores
 	)
+	stores.Register(flag.CommandLine)
 	flag.Parse()
 
 	tcs, err := loadTenants(*tenants, *token)
@@ -67,22 +68,18 @@ func main() {
 	if *verbose {
 		opt.Log = os.Stderr
 	}
-	if *results != "" {
-		rs, err := morrigan.OpenResultStore(*results)
-		if err != nil {
-			fatal("results: %v", err)
-		}
-		if rs.Len() > 0 {
-			fmt.Fprintf(os.Stderr, "service: result store holds %d reusable results\n", rs.Len())
-		}
+	rs, err := stores.OpenResults("service")
+	if err != nil {
+		fatal("%v", err)
+	}
+	if rs != nil {
 		opt.Store = rs
 	}
-	var cs *morrigan.CorpusStore
-	if *corpus != "" {
-		cs, err = morrigan.OpenCorpusStore(morrigan.CorpusOptions{Dir: *corpus})
-		if err != nil {
-			fatal("%v", err)
-		}
+	cs, err := stores.OpenCorpus()
+	if err != nil {
+		fatal("%v", err)
+	}
+	if cs != nil {
 		defer cs.Close()
 		opt.NewReader = func(w morrigan.Workload) (morrigan.TraceReader, error) {
 			c, err := cs.Materialize(w, 0)

@@ -67,9 +67,6 @@ type (
 	CampaignEvent = runner.Event
 	// CampaignProgress receives progress notifications.
 	CampaignProgress = runner.ProgressFunc
-	// CampaignJournal is an append-only checkpoint of completed simulations
-	// that lets an interrupted campaign resume without re-simulating.
-	CampaignJournal = runner.Journal
 	// CampaignResultCache deduplicates identical (machine, workloads, scale)
 	// jobs across the campaigns of one process.
 	CampaignResultCache = runner.ResultCache
@@ -91,14 +88,6 @@ func RunCampaign(ctx context.Context, jobs []CampaignJob, opt CampaignOptions) (
 // CampaignWriterProgress returns a progress function printing one line per
 // completed job, with campaign progress and an ETA, to w.
 func CampaignWriterProgress(w io.Writer) CampaignProgress { return runner.WriterProgress(w) }
-
-// OpenCampaignJournal opens (or, with resume, reloads) a checkpoint journal
-// at path. With resume set, previously journaled results are served without
-// re-simulating; a torn final record from a crash is discarded. Close it
-// when the campaign ends.
-func OpenCampaignJournal(path string, resume bool) (*CampaignJournal, error) {
-	return runner.OpenJournal(path, resume)
-}
 
 // NewCampaignResultCache returns an empty cross-campaign result cache; pass
 // it via CampaignOptions.Cache (or ExperimentOptions.Cache) so identical

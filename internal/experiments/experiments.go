@@ -71,10 +71,6 @@ type Options struct {
 	// generator-backed runs — the container stores the exact generator
 	// output — so rendered tables do not change.
 	Corpus *tracestore.Store
-	// Journal, when non-nil, checkpoints every completed simulation so an
-	// interrupted campaign can resume (see runner.Journal). Rendered tables
-	// are unaffected — journaled stats are the original run's, bit for bit.
-	Journal *runner.Journal
 	// Cache, when non-nil, is shared across every campaign the experiments
 	// launch, so jobs with identical (machine, workloads, scale) identities
 	// — e.g. the baseline column repeated by many figures at the same
@@ -84,7 +80,8 @@ type Options struct {
 	// keys it already holds are served without simulating, and completed
 	// jobs are persisted into it (see runner.ResultStore and
 	// internal/resultstore). Rendered tables are unaffected — stored stats
-	// are the original run's, bit for bit.
+	// are the original run's, bit for bit — so rerunning a killed campaign
+	// on the same store resumes it.
 	Store runner.ResultStore
 	// Remote, when non-nil, delegates keyed jobs to fabric workers instead
 	// of simulating them locally (see runner.RemoteExecutor and
@@ -96,7 +93,7 @@ type Options struct {
 	// runner.Job.Describe line each) to it instead of simulating. Every
 	// result is zero-valued, so rendered tables are meaningless — dry runs
 	// are for inspecting what a campaign would simulate (keys, spec hashes,
-	// scale) and what a warm journal, store or fabric would be asked for.
+	// scale) and what a warm store or fabric would be asked for.
 	DryRun io.Writer
 	// Sampling, when non-nil, runs eligible jobs — single-workload,
 	// non-instrumented — in representative-interval sampling mode (see
@@ -104,8 +101,8 @@ type Options struct {
 	// slices, and extrapolate. Rendered tables then carry estimates with
 	// 95% confidence intervals rather than exact measurements; SMT pairs
 	// and instrumented jobs always simulate in full. Sampled jobs key
-	// differently from full runs, so a store or journal never serves one
-	// mode's results for the other.
+	// differently from full runs, so a store never serves one mode's
+	// results for the other.
 	Sampling *sampling.Policy
 	// Profiles, when non-nil, caches sampling profile artifacts on disk so
 	// repeated sampled campaigns skip the functional profiling pass (see
@@ -165,7 +162,7 @@ type simJob struct {
 	machine machine.Spec
 	// instrument, when set, mutates the built config before the run — used
 	// by the miss-stream characterisation figures. Instrumented jobs are
-	// excluded from checkpoint/reuse identity (see runner.Job.Key).
+	// excluded from reuse identity (see runner.Job.Key).
 	instrument func(*sim.Config)
 }
 
@@ -228,7 +225,6 @@ func (o Options) campaign(experiment string, jobs []simJob) ([]sim.Stats, error)
 		Progress:  runner.WriterProgress(o.Progress),
 		Telemetry: o.Telemetry,
 		Observer:  o.Observer,
-		Journal:   o.Journal,
 		Cache:     o.Cache,
 		Store:     o.Store,
 		Remote:    o.Remote,

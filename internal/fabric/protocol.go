@@ -29,8 +29,8 @@
 // result is bit-identical to what the dead worker would have produced, and
 // merged campaign tables are byte-identical to a single-process run at any
 // worker count. Durability beyond the coordinator process comes from backing
-// the campaign with runner.Options.Store (internal/resultstore) and/or the
-// checkpoint journal, exactly as in single-process runs.
+// the campaign with runner.Options.Store (internal/resultstore), exactly as
+// in single-process runs.
 package fabric
 
 import (

@@ -8,7 +8,7 @@ import (
 
 // specHashVersion is folded into the hash so a deliberate change to the
 // canonical encoding (or to the set of hashed fields) invalidates every
-// persisted job key — checkpoint journals re-run instead of silently
+// persisted job key — result-store records re-run instead of silently
 // colliding with results from a differently-shaped machine.
 const specHashVersion = "morrigan/machine.Spec/v1"
 

@@ -6,7 +6,7 @@
 // A machine.Spec is to configurations what workloads.Spec is to instruction
 // streams: a value with a stable content Hash() that names exactly what would
 // be simulated. Together they give every campaign job a canonical identity
-// (runner.Job.Key), which is what the checkpoint journal and the
+// (runner.Job.Key), which is what the result store and the
 // cross-experiment result cache key on. Build() turns a spec back into a
 // runnable sim.Config, constructing fresh prefetcher state on every call so
 // jobs never share mutable tables.

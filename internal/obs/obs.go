@@ -13,7 +13,7 @@
 //     samples and job lifecycle transitions, in arrival order;
 //   - GET /healthz, /healthz/live — liveness; GET /healthz/ready —
 //     readiness (503 until a campaign attaches, or while any registered
-//     readiness check — e.g. journal writability — fails);
+//     readiness check — e.g. result-store writability — fails);
 //   - /debug/pprof/* — the standard Go profiler endpoints.
 //
 // The server is purely observational: it reads only the probes'
@@ -446,8 +446,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // handleReady is the readiness endpoint: 503 until a campaign has attached
 // (CampaignStarted ran), and 503 with the failing check's name and error
-// while any registered readiness check fails — e.g. a checkpoint journal
-// whose filesystem stopped accepting writes.
+// while any registered readiness check fails — e.g. a durable store whose
+// filesystem stopped accepting writes.
 func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	attached := s.totalJobs > 0

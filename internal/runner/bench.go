@@ -27,8 +27,8 @@ type Bench struct {
 	// their partial instruction counts and elapsed time.
 	Jobs   int `json:"jobs"`
 	Failed int `json:"failed"`
-	// ReusedJobs counts jobs served from the result cache or checkpoint
-	// journal instead of simulating — the campaign's dedup win. Always
+	// ReusedJobs counts jobs served from the result cache or result store
+	// instead of simulating — the campaign's dedup win. Always
 	// emitted, so a sweep that should have deduplicated but did not shows
 	// an explicit zero.
 	ReusedJobs int `json:"reused_jobs"`

@@ -66,9 +66,9 @@ func (c *ResultCache) abort(key string, e *cacheEntry) {
 	close(e.done)
 }
 
-// publish inserts an already-completed result (a journal hit) so subsequent
-// jobs with the same key reuse it without touching the journal again. A key
-// that is already present is left alone.
+// publish inserts an already-completed result (a result-store hit) so
+// subsequent jobs with the same key reuse it without touching the store
+// again. A key that is already present is left alone.
 func (c *ResultCache) publish(key string, st Stored) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -148,27 +148,6 @@ func TestCacheSingleFlight(t *testing.T) {
 	}
 }
 
-// TestCachePublishFromJournal: a journal hit is published into the cache, so
-// later duplicates are served in-process (marked ReusedCache) without
-// touching the journal map again.
-func TestCachePublishFromJournal(t *testing.T) {
-	cache := NewResultCache()
-	job := testJobs(1)[0]
-	key, _ := job.Key()
-	want := Stored{Stats: sim.Stats{Instructions: 42}}
-	cache.publish(key, want)
-	cache.publish(key, Stored{Stats: sim.Stats{Instructions: 999}}) // present: left alone
-
-	e, leader := cache.acquire(key)
-	if leader {
-		t.Fatal("published key elected a leader")
-	}
-	<-e.done
-	if !e.ok || e.stored.Stats.Instructions != 42 {
-		t.Errorf("published entry = ok=%v stats=%+v, want the first publish", e.ok, e.stored.Stats)
-	}
-}
-
 // TestCacheUnkeyedBypass: jobs without a data identity never touch the cache.
 func TestCacheUnkeyedBypass(t *testing.T) {
 	job := testJobs(1)[0]

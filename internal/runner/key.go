@@ -12,13 +12,13 @@ import (
 
 // jobKeyVersion is folded into every job key so a deliberate change to the
 // key derivation (or to either underlying spec hash version) invalidates
-// persisted checkpoint journals instead of silently matching stale results.
+// persisted result stores instead of silently matching stale results.
 const jobKeyVersion = "morrigan/runner.JobKey/v1"
 
 // samplingKeyTag separates the sampled-key domain. It is appended — together
 // with the policy fields — only for sampled jobs, so every full-run key is
-// byte-identical to what pre-sampling releases derived: persisted journals,
-// result stores and fabric campaigns keep matching.
+// byte-identical to what pre-sampling releases derived: persisted result
+// stores and fabric campaigns keep matching.
 const samplingKeyTag = "sampled"
 
 // Key returns the job's canonical identity: the SHA-256 (as lowercase hex)
@@ -26,7 +26,7 @@ const samplingKeyTag = "sampled"
 // warmup/measure scale, and — for sampled jobs only — the sampling policy:
 // H(machine ‖ workloads ‖ scale [‖ policy]). Two jobs with equal keys
 // simulate the identical (config, workload, scale, policy) tuple and produce
-// bit-identical Stats, which is what the checkpoint journal and the
+// bit-identical Stats, which is what the result store and the
 // cross-experiment result cache rely on. A sampled job measures different
 // instruction slices than its full-run twin, so the two hash differently.
 //
@@ -46,29 +46,21 @@ func (j Job) Key() (string, bool) {
 	return jobKey(j.Machine.Hash(), hashes, j.Warmup, j.Measure, j.Sampling), true
 }
 
-// DeriveJobKey derives the canonical full-run job key from already-computed
-// component hashes — the same derivation Job.Key performs for non-sampled
-// jobs. Persistence layers that store keys next to their components (the
-// checkpoint journal, the on-disk result store) re-derive keys through this
-// function on load to verify that a stored record still matches what its
-// components hash to today; a mismatch (stale hash version, hand-edited
-// record) means the record must be discarded so the job re-runs rather than
-// reusing a wrong result.
-func DeriveJobKey(machineHash string, workloadHashes []string, warmup, measure uint64) string {
-	return jobKey(machineHash, workloadHashes, warmup, measure, nil)
-}
-
-// DeriveSampledJobKey is DeriveJobKey for sampled records: pol nil degrades
-// to the full-run derivation, so persistence layers can re-derive either kind
-// from one call site.
+// DeriveSampledJobKey derives the canonical job key from already-computed
+// component hashes — the same derivation Job.Key performs; pol nil gives the
+// full-run key. Persistence layers that store keys next to their components
+// (the on-disk result store) re-derive keys through this function on load to
+// verify that a stored record still matches what its components hash to
+// today; a mismatch (stale hash version, hand-edited record) means the record
+// must be discarded so the job re-runs rather than reusing a wrong result.
 func DeriveSampledJobKey(machineHash string, workloadHashes []string, warmup, measure uint64, pol *sampling.Policy) string {
 	return jobKey(machineHash, workloadHashes, warmup, measure, pol)
 }
 
 // Describe renders the job's enumeration line for -dry-run output: display
 // name, canonical key (or "unkeyed" with the reason), machine hash, workload
-// hashes and scale — everything the checkpoint journal, result store and
-// fabric coordinator would identify the job by, without simulating it.
+// hashes and scale — everything the result store and fabric coordinator
+// would identify the job by, without simulating it.
 func (j Job) Describe() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s  ", j.Name())
@@ -103,8 +95,8 @@ func (j Job) Describe() string {
 }
 
 // jobKey derives the canonical key from already-computed component hashes.
-// Journal loading re-derives keys through this same function to verify that
-// a journaled record still matches what its components hash to today. The
+// Result-store loading re-derives keys through this same function to verify
+// that a stored record still matches what its components hash to today. The
 // sampling policy is folded in only when present — full-run keys are
 // unchanged from every prior release.
 func jobKey(machineHash string, workloadHashes []string, warmup, measure uint64, pol *sampling.Policy) string {

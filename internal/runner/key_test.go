@@ -64,7 +64,7 @@ func TestJobKeyIdentity(t *testing.T) {
 }
 
 // TestJobKeyEscapeHatches: jobs with run-observing or stream-overriding
-// closures have no data identity and must never be journaled or cached.
+// closures have no data identity and must never be stored or cached.
 func TestJobKeyEscapeHatches(t *testing.T) {
 	instrumented := keyedJob()
 	instrumented.Instrument = func(*sim.Config) {}

@@ -14,7 +14,7 @@ type Event struct {
 	Job Job
 	// Err is the job's error, if it failed.
 	Err error
-	// Reused marks jobs served from the result cache or checkpoint journal.
+	// Reused marks jobs served from the result cache or result store.
 	Reused string
 	// Elapsed is the job's own execution time.
 	Elapsed time.Duration
@@ -95,8 +95,8 @@ func (p *progressTracker) done(res Result) {
 		// Completed-throughput estimate: remaining work at the observed
 		// aggregate rate. With W workers the rate already reflects W-way
 		// parallelism, so no worker-count correction is needed. Only jobs
-		// that actually simulated enter the denominator — journal/store/
-		// cache hits complete instantly, and counting them would divide the
+		// that actually simulated enter the denominator — store and cache
+		// hits complete instantly, and counting them would divide the
 		// elapsed time across jobs that cost nothing, collapsing the ETA on
 		// warm-store campaigns where the remaining jobs still run in full.
 		eta = time.Duration(float64(elapsed) / float64(p.executed) * float64(rem))

@@ -47,8 +47,8 @@ type Record struct {
 	// and diffs are unaffected.)
 	Telemetry string `json:"telemetry,omitempty"`
 	// Reused marks results served without simulating: "cache" (in-process
-	// result cache), "journal" (checkpoint resume) or "store" (on-disk
-	// cross-run result store). Stats are the original run's; the throughput
+	// result cache) or "store" (on-disk result store, which also serves a
+	// killed campaign's rerun). Stats are the original run's; the throughput
 	// fields are zero, since this job cost nothing. (JSON only — the CSV
 	// column set is unchanged.)
 	Reused string `json:"reused,omitempty"`

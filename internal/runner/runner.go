@@ -52,8 +52,8 @@ const SMTVAOffset arch.VAddr = 1 << 40
 // used by exactly one goroutine.
 //
 // Because both halves are data with stable hashes, a job has a canonical
-// identity (Key) that the checkpoint journal and cross-experiment result
-// cache key on. The two escape hatches — Instrument and NewThreads — opt a
+// identity (Key) that the result store and cross-experiment result cache key
+// on. The two escape hatches — Instrument and NewThreads — opt a
 // job out of that identity: such jobs always execute (see Key).
 type Job struct {
 	// Experiment, Config and Workload identify the job in results
@@ -74,7 +74,7 @@ type Job struct {
 	// Instrument, when set, mutates the built config before the simulation
 	// starts — the hook for run-observing closures (e.g. OnISTLBMiss
 	// capture). Instrumented jobs have no data-only identity and are never
-	// journaled or served from the result cache.
+	// stored or served from the result cache.
 	Instrument func(*sim.Config)
 	// NewThreads, when set, overrides Workloads as the instruction-stream
 	// source (e.g. trace files). Such jobs also forgo a data-only identity.
@@ -128,8 +128,8 @@ type Result struct {
 	// Options.Telemetry was set and the job ran.
 	TelemetryPath string
 	// Reused marks results that were not simulated by this job: ReusedCache
-	// for in-process result-cache hits, ReusedJournal for checkpoint-journal
-	// hits. Empty for jobs that actually ran.
+	// for in-process result-cache hits, ReusedStore for result-store hits.
+	// Empty for jobs that actually ran.
 	Reused string
 	// Sampling, when non-nil, marks a sampled result and carries how it was
 	// produced (policy, slice counts, per-metric 95% confidence intervals).
@@ -137,8 +137,8 @@ type Result struct {
 	Sampling *sampling.Outcome
 }
 
-// Stored is the payload the reuse layers (journal, result store, in-process
-// cache) carry per canonical key: the stats plus, for sampled jobs, the
+// Stored is the payload the reuse layers (result store, in-process cache)
+// carry per canonical key: the stats plus, for sampled jobs, the
 // sampling outcome — so a reused sampled result keeps its confidence
 // intervals and is never mistaken for a full measurement.
 type Stored struct {
@@ -148,9 +148,8 @@ type Stored struct {
 
 // Reused markers.
 const (
-	ReusedCache   = "cache"
-	ReusedJournal = "journal"
-	ReusedStore   = "store"
+	ReusedCache = "cache"
+	ReusedStore = "store"
 )
 
 // ResultStore is the durable cross-run result layer: a persistent map from
@@ -204,10 +203,6 @@ type Options struct {
 	// (e.g. from a materialised corpus) instead of the workload's live
 	// generator. It runs on the job's worker goroutine.
 	NewReader func(workloads.Spec) (trace.Reader, error)
-	// Journal, when non-nil, is the crash-safe checkpoint: completed jobs
-	// are appended to it, and jobs already journaled (resume) are served
-	// from it without simulating.
-	Journal *Journal
 	// Cache, when non-nil, deduplicates jobs with equal canonical keys —
 	// across campaigns when shared — so each distinct (config, workload,
 	// scale) triple simulates exactly once.
@@ -215,12 +210,14 @@ type Options struct {
 	// Store, when non-nil, is the durable result layer: keyed jobs already
 	// present are served without simulating, and completed keyed jobs are
 	// persisted so results dedup across runs and across machines (see
-	// ResultStore and internal/resultstore).
+	// ResultStore and internal/resultstore). It is also the resume path: a
+	// killed campaign rerun on the same store simulates only the jobs the
+	// store does not hold yet.
 	Store ResultStore
 	// Remote, when non-nil, delegates keyed jobs to remote workers instead
 	// of simulating them on this process's worker pool (see RemoteExecutor
 	// and internal/fabric). Reuse layers still apply: only jobs missing
-	// from the journal, store and cache are delegated.
+	// from the store and cache are delegated.
 	Remote RemoteExecutor
 	// Profiles, when non-nil, caches sampling profile artifacts on disk
 	// (typically <corpus>/profiles) so the functional profiling pass of a
@@ -257,8 +254,8 @@ func jobTraceID(key string, keyed bool, i int, j Job) string {
 // the live observability server (internal/obs). CampaignStarted is called
 // once per Run before any job launches; JobStarted and JobFinished are called
 // from worker goroutines (concurrently with each other) for every job that
-// simulates. Jobs served from the checkpoint journal or the result cache
-// never start a simulation, so they receive only JobFinished (with
+// simulates. Jobs served from the result store or the result cache never
+// start a simulation, so they receive only JobFinished (with
 // Result.Reused set).
 //
 // The probe passed to JobStarted is owned by the job's simulation goroutine:
@@ -375,28 +372,17 @@ func firstError(ctx context.Context, results []Result) error {
 	return nil
 }
 
-// executeShared wraps execute with the key-based reuse layers: the
-// checkpoint journal (completed results from a previous, interrupted run),
-// the durable result store (completed results from any previous run, on any
-// machine sharing the store), and the in-process result cache (duplicate
-// jobs within or across the current process's campaigns). Jobs without a
+// executeShared wraps execute with the key-based reuse layers: the durable
+// result store (completed results from any previous run, on any machine
+// sharing the store — including a killed run of this same campaign), then
+// the in-process result cache (duplicate jobs within or across the current
+// process's campaigns). Jobs without a
 // data-only identity bypass all of them and always execute locally.
 func executeShared(ctx context.Context, i int, j Job, opt Options) Result {
 	key, keyed := j.Key()
 	trace := jobTraceID(key, keyed, i, j)
-	if !keyed || (opt.Journal == nil && opt.Cache == nil && opt.Store == nil) {
+	if !keyed || (opt.Cache == nil && opt.Store == nil) {
 		return executePersisted(ctx, i, j, opt, key, keyed, trace)
-	}
-	if opt.Journal != nil {
-		sp := opt.Spans.Start(trace, "lookup.journal")
-		st, hit := opt.Journal.Lookup(key)
-		sp.Attr("hit", fmt.Sprint(hit)).End()
-		if hit {
-			if opt.Cache != nil {
-				opt.Cache.publish(key, st)
-			}
-			return Result{Job: j, Stats: st.Stats, Sampling: st.Sampling, Reused: ReusedJournal}
-		}
 	}
 	if opt.Store != nil {
 		sp := opt.Spans.Start(trace, "lookup.store")
@@ -441,11 +427,10 @@ func executeShared(ctx context.Context, i int, j Job, opt Options) Result {
 }
 
 // executePersisted runs the job — remotely when a RemoteExecutor is attached
-// and the job is keyed, locally otherwise — and, on success, checkpoints the
-// result to the journal and persists it to the result store (whichever are
-// attached). A journal or store write failure fails the job: a checkpoint
-// the caller asked for but silently did not get would defeat resume, and a
-// store put that silently vanished would defeat cross-run reuse.
+// and the job is keyed, locally otherwise — and, on success, persists the
+// result to the result store when one is attached. A store write failure
+// fails the job: a put that silently vanished would defeat resume and
+// cross-run reuse.
 func executePersisted(ctx context.Context, i int, j Job, opt Options, key string, keyed bool, trace string) Result {
 	var res Result
 	if keyed && opt.Remote != nil {
@@ -461,23 +446,12 @@ func executePersisted(ctx context.Context, i int, j Job, opt Options, key string
 	} else {
 		res = execute(ctx, i, j, opt, trace)
 	}
-	if keyed && res.Err == nil {
-		if opt.Journal != nil {
-			sp := opt.Spans.Start(trace, "persist.journal")
-			err := opt.Journal.Append(res)
-			sp.End()
-			if err != nil {
-				res.Err = fmt.Errorf("runner: %s: %w", j.Name(), err)
-				return res
-			}
-		}
-		if opt.Store != nil {
-			sp := opt.Spans.Start(trace, "persist.store")
-			err := opt.Store.Put(key, res)
-			sp.End()
-			if err != nil {
-				res.Err = fmt.Errorf("runner: %s: %w", j.Name(), err)
-			}
+	if keyed && res.Err == nil && opt.Store != nil {
+		sp := opt.Spans.Start(trace, "persist.store")
+		err := opt.Store.Put(key, res)
+		sp.End()
+		if err != nil {
+			res.Err = fmt.Errorf("runner: %s: %w", j.Name(), err)
 		}
 	}
 	return res
@@ -571,7 +545,7 @@ func execute(ctx context.Context, i int, j Job, opt Options, trace string) (res 
 		// run is a sequence of short warmup/measure slices, each of which
 		// would finish and reset a probe, so a per-job time series is
 		// undefined. The observer still receives JobFinished, exactly as it
-		// does for journal-reused jobs.
+		// does for store-reused jobs.
 		st, outcome, serr := executeSampled(ctx, &s, cfg, j, opt, trace)
 		if serr != nil {
 			res.Err = fmt.Errorf("runner: %s: %w", j.Name(), serr)

@@ -3,7 +3,6 @@ package runner
 import (
 	"context"
 	"math"
-	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -131,39 +130,6 @@ func TestSampledRunDeterministic(t *testing.T) {
 	}
 }
 
-// TestSampledJournalRoundTrip: a journaled sampled result resumes with its
-// outcome intact, keyed by the sampled (not the full-run) identity.
-func TestSampledJournalRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "run.journal")
-	jobs := []Job{sampledTestJob()}
-	first := runJournaled(t, path, jobs, false, 1)
-	if first[0].Err != nil {
-		t.Fatal(first[0].Err)
-	}
-
-	second := runJournaled(t, path, jobs, true, 1)
-	if second[0].Reused != ReusedJournal {
-		t.Fatalf("Reused = %q, want %q", second[0].Reused, ReusedJournal)
-	}
-	if !reflect.DeepEqual(first[0].Stats, second[0].Stats) {
-		t.Error("resumed sampled stats differ")
-	}
-	if second[0].Sampling == nil || !reflect.DeepEqual(first[0].Sampling, second[0].Sampling) {
-		t.Error("sampled outcome lost or changed across the journal round trip")
-	}
-
-	// The journal entry must NOT satisfy the same job run unsampled.
-	full := jobs[0]
-	full.Sampling = nil
-	fullRes := runJournaled(t, path, []Job{full}, true, 1)
-	if fullRes[0].Reused == ReusedJournal {
-		t.Error("full-run job served from a sampled journal entry")
-	}
-	if fullRes[0].Sampling != nil {
-		t.Error("full-run result carries a sampling outcome")
-	}
-}
-
 func TestSampledRejectsIneligibleJobs(t *testing.T) {
 	qmm := workloads.QMM()
 	j := sampledTestJob()
@@ -223,7 +189,7 @@ func TestSampledAccuracy(t *testing.T) {
 }
 
 // TestProgressTrackerETAWarmStore is the warm-store ETA regression test: jobs
-// served from the journal or result store finish instantly and must not enter
+// served from the result store or cache finish instantly and must not enter
 // the throughput estimate, or a mostly-warm campaign's ETA collapses toward
 // zero while the remaining cold jobs still run in full.
 func TestProgressTrackerETAWarmStore(t *testing.T) {
@@ -233,7 +199,7 @@ func TestProgressTrackerETAWarmStore(t *testing.T) {
 
 	// Two warm hits (free) and one executed job in the first 8 seconds.
 	p.done(Result{Job: Job{Workload: "a"}, Reused: ReusedStore})
-	p.done(Result{Job: Job{Workload: "b"}, Reused: ReusedJournal})
+	p.done(Result{Job: Job{Workload: "b"}, Reused: ReusedCache})
 	p.done(Result{Job: Job{Workload: "c"}})
 
 	// One job remains; the only executed job took ~8s, so the honest ETA is

@@ -8,8 +8,8 @@ import (
 )
 
 // Outcome summarises how a sampled run was produced. It travels with the
-// extrapolated Stats through the runner's result schema, the journal, the
-// result store and the fabric wire format, so a sampled result is never
+// extrapolated Stats through the runner's result schema, the result store
+// and the fabric wire format, so a sampled result is never
 // mistaken for a full one.
 type Outcome struct {
 	// Policy is the sampling policy the run used.

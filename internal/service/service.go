@@ -170,7 +170,7 @@ type tenant struct {
 	used       uint64 // instructions actually simulated
 	campaigns  int
 	simulated  int // jobs that simulated (not reused)
-	reused     int // jobs served from cache/journal/store
+	reused     int // jobs served from cache/store
 }
 
 // campaignState is one submitted campaign through its lifecycle.
@@ -646,7 +646,7 @@ func (s *Service) Gauges() []obs.Gauge {
 			obs.Gauge{Name: "morrigan_service_tenant_jobs_simulated_total",
 				Help: "Jobs that actually simulated, by tenant.", Labels: labels, Value: float64(t.simulated)},
 			obs.Gauge{Name: "morrigan_service_tenant_jobs_reused_total",
-				Help: "Jobs served from the cache, journal or result store, by tenant.", Labels: labels, Value: float64(t.reused)},
+				Help: "Jobs served from the cache or result store, by tenant.", Labels: labels, Value: float64(t.reused)},
 			obs.Gauge{Name: "morrigan_service_tenant_instructions_used",
 				Help: "Simulated instructions charged against the tenant's budget.", Labels: labels, Value: float64(t.used)},
 		)

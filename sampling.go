@@ -1,9 +1,6 @@
 package morrigan
 
-import (
-	"morrigan/internal/obs"
-	"morrigan/internal/sampling"
-)
+import "morrigan/internal/sampling"
 
 // Representative-interval sampling (see internal/sampling). A sampled
 // campaign job profiles its workload through a cheap functional model, picks
@@ -35,27 +32,4 @@ func DefaultSamplingPolicy() SamplingPolicy { return sampling.DefaultPolicy() }
 // ExperimentOptions.Profiles).
 func OpenSamplingProfileStore(dir string) (*SamplingProfileStore, error) {
 	return sampling.OpenProfileStore(dir)
-}
-
-// SamplingGauges returns an observability gauge source publishing
-// process-wide sampling counters (sampled runs, timed vs fast-forwarded
-// instructions) plus, when profiles is non-nil, the profile store's
-// built/reused artifact counts. Wire it into an ObservabilityServer with
-// AddGaugeSource.
-func SamplingGauges(profiles *SamplingProfileStore) func() []obs.Gauge {
-	return func() []obs.Gauge {
-		t := sampling.Totals()
-		gs := []obs.Gauge{
-			{Name: "morrigan_sampling_runs_total", Help: "Sampled simulations completed by this process.", Value: float64(t.SampledRuns)},
-			{Name: "morrigan_sampling_timed_instructions_total", Help: "Instructions timing-simulated inside measured slices of sampled runs.", Value: float64(t.TimedInstructions)},
-			{Name: "morrigan_sampling_fastforwarded_instructions_total", Help: "Instructions fast-forwarded functionally between slices of sampled runs.", Value: float64(t.FastForwarded)},
-		}
-		if profiles != nil {
-			gs = append(gs,
-				obs.Gauge{Name: "morrigan_sampling_profiles_built_total", Help: "Sampling profile artifacts built by this process.", Value: float64(profiles.Built())},
-				obs.Gauge{Name: "morrigan_sampling_profiles_reused_total", Help: "Sampling profile artifacts served from the on-disk store.", Value: float64(profiles.Reused())},
-			)
-		}
-		return gs
-	}
 }
