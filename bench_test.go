@@ -9,17 +9,19 @@ import (
 	"testing"
 
 	"morrigan"
+	"morrigan/internal/experiments"
+	"morrigan/internal/telemetry"
 )
 
 // benchExperiment runs one experiment at quick scale per iteration and
 // reports the first numeric cell of the last row as a metric when present.
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
-	opt := morrigan.QuickExperimentOptions()
-	var tab *morrigan.ExperimentTable
+	opt := experiments.QuickOptions()
+	var tab *experiments.Table
 	var err error
 	for i := 0; i < b.N; i++ {
-		tab, err = morrigan.RunExperiment(id, opt)
+		tab, err = experiments.Run(id, opt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -93,7 +95,7 @@ func BenchmarkSimulatorTelemetry(b *testing.B) {
 	w := morrigan.QMMWorkloads()[10]
 	cfg := morrigan.DefaultConfig()
 	cfg.Prefetcher = morrigan.NewMorrigan(morrigan.DefaultPrefetcherConfig())
-	cfg.Probe = morrigan.NewTelemetryProbe(morrigan.DefaultTelemetryConfig())
+	cfg.Probe = telemetry.NewProbe(telemetry.DefaultConfig())
 	s, err := morrigan.NewSimulator(cfg, []morrigan.ThreadSpec{{Reader: w.NewReader()}})
 	if err != nil {
 		b.Fatal(err)

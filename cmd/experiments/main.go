@@ -29,8 +29,9 @@ import (
 	"syscall"
 	"time"
 
-	"morrigan"
 	"morrigan/internal/cli"
+	"morrigan/internal/experiments"
+	"morrigan/internal/runner"
 )
 
 func main() {
@@ -48,18 +49,18 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		for _, id := range morrigan.ExperimentIDs() {
+		for _, id := range experiments.Order {
 			fmt.Println(id)
 		}
 		return
 	}
 
-	opt := morrigan.DefaultExperimentOptions()
+	opt := experiments.DefaultOptions()
 	if *quick {
-		opt = morrigan.QuickExperimentOptions()
+		opt = experiments.QuickOptions()
 	}
 	if *full {
-		opt = morrigan.FullExperimentOptions()
+		opt = experiments.FullOptions()
 	}
 	if *warmup > 0 {
 		opt.Warmup = *warmup
@@ -83,7 +84,7 @@ func main() {
 	// exactly once and every later occurrence is served from the cache.
 	// Rendered tables are unaffected — cached stats are the original run's,
 	// bit for bit. The dedup count surfaces as reused_jobs in -bench output.
-	opt.Cache = morrigan.NewCampaignResultCache()
+	opt.Cache = runner.NewResultCache()
 
 	var w io.Writer = os.Stdout
 	if *out != "" {
@@ -95,7 +96,7 @@ func main() {
 		w = f
 	}
 
-	ids := morrigan.ExperimentIDs()
+	ids := experiments.Order
 	if *exp != "all" {
 		ids = strings.Split(*exp, ",")
 	}
@@ -106,7 +107,7 @@ func main() {
 	for _, id := range ids {
 		id = strings.TrimSpace(id)
 		start := time.Now()
-		tab, err := morrigan.RunExperiment(id, opt)
+		tab, err := experiments.Run(id, opt)
 		if err != nil {
 			if ferr := c.Finish(ctx); ferr != nil {
 				fmt.Fprintln(os.Stderr, "experiments:", ferr)

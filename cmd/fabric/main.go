@@ -28,7 +28,10 @@ import (
 	"os/signal"
 	"syscall"
 
-	"morrigan"
+	"morrigan/internal/fabric"
+	"morrigan/internal/resultstore"
+	"morrigan/internal/spans"
+	"morrigan/internal/tracestore"
 )
 
 func main() {
@@ -74,7 +77,7 @@ func work(args []string) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	wopt := morrigan.FabricWorkerOptions{Coordinator: *coordinator, Name: *name}
+	wopt := fabric.WorkerOptions{Coordinator: *coordinator, Name: *name}
 	if wopt.Name == "" {
 		host, _ := os.Hostname()
 		wopt.Name = fmt.Sprintf("%s:%d", host, os.Getpid())
@@ -83,19 +86,19 @@ func work(args []string) {
 		wopt.Log = os.Stderr
 	}
 	if *corpus != "" {
-		cs, err := morrigan.OpenCorpusStore(morrigan.CorpusOptions{Dir: *corpus})
+		cs, err := tracestore.Open(tracestore.Options{Dir: *corpus})
 		if err != nil {
 			fatal("%v", err)
 		}
 		defer cs.Close()
 		wopt.Corpus = cs
 	}
-	var tracer *morrigan.TraceRecorder
+	var tracer *spans.Recorder
 	if *traceOut != "" {
-		tracer = morrigan.NewTraceRecorder(wopt.Name)
+		tracer = spans.NewRecorder(wopt.Name)
 		wopt.Spans = tracer
 	}
-	worker, err := morrigan.NewFabricWorker(wopt)
+	worker, err := fabric.NewWorker(wopt)
 	if err != nil {
 		fatal("%v", err)
 	}
@@ -120,7 +123,7 @@ func gc(args []string) {
 		fmt.Fprintln(os.Stderr, "fabric gc: -results is required")
 		os.Exit(2)
 	}
-	rs, err := morrigan.OpenResultStore(*results)
+	rs, err := resultstore.Open(*results)
 	if err != nil {
 		fatal("results: %v", err)
 	}
@@ -144,11 +147,11 @@ func gc(args []string) {
 }
 
 // writeTrace exports collected spans to path; a nil tracer is a no-op.
-func writeTrace(path string, tracer *morrigan.TraceRecorder) {
+func writeTrace(path string, tracer *spans.Recorder) {
 	if tracer == nil {
 		return
 	}
-	if err := morrigan.WriteTraceFile(path, tracer.Spans()); err != nil {
+	if err := spans.WriteFile(path, tracer.Spans()); err != nil {
 		fatal("trace-out: %v", err)
 	}
 	fmt.Fprintf(os.Stderr, "fabric: wrote %d trace spans to %s\n", tracer.Len(), path)

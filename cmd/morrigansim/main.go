@@ -31,8 +31,15 @@ import (
 	"strings"
 	"syscall"
 
-	"morrigan"
+	"morrigan/internal/arch"
 	"morrigan/internal/cli"
+	"morrigan/internal/core"
+	"morrigan/internal/machine"
+	"morrigan/internal/runner"
+	"morrigan/internal/sim"
+	"morrigan/internal/telemetry"
+	"morrigan/internal/trace"
+	"morrigan/internal/workloads"
 )
 
 func main() {
@@ -63,13 +70,13 @@ func main() {
 
 	if *list {
 		var names []string
-		for _, w := range morrigan.QMMWorkloads() {
+		for _, w := range workloads.QMM() {
 			names = append(names, w.Name)
 		}
-		for _, w := range morrigan.SPECWorkloads() {
+		for _, w := range workloads.SPEC() {
 			names = append(names, w.Name)
 		}
-		for _, w := range morrigan.JavaWorkloads() {
+		for _, w := range workloads.Java() {
 			names = append(names, w.Name)
 		}
 		sort.Strings(names)
@@ -89,7 +96,7 @@ func main() {
 		if err != nil {
 			fatal("%v", err)
 		}
-		spec, err = morrigan.LoadMachineSpec(f)
+		spec, err = machine.Load(f)
 		f.Close()
 		if err != nil {
 			fatal("config %s: %v", *confIn, err)
@@ -118,7 +125,7 @@ func main() {
 			defer f.Close()
 			w = f
 		}
-		if err := morrigan.SaveMachineSpec(w, spec); err != nil {
+		if err := machine.Save(w, spec); err != nil {
 			fatal("%v", err)
 		}
 		return
@@ -130,7 +137,7 @@ func main() {
 		// reference-loop run always simulates — exactly what the CI
 		// equivalence gate wants.
 		for i := range cjobs {
-			cjobs[i].Instrument = func(cfg *morrigan.Config) { cfg.ReferenceLoop = true }
+			cjobs[i].Instrument = func(cfg *sim.Config) { cfg.ReferenceLoop = true }
 		}
 	}
 	pol, err := cf.Policy(*measure)
@@ -163,9 +170,9 @@ func main() {
 	}
 	defer c.Close()
 	if c.Telemetry != nil {
-		c.Telemetry.Config = morrigan.TelemetryConfig{Interval: *interval, EventBuffer: *events}
+		c.Telemetry.Config = telemetry.Config{Interval: *interval, EventBuffer: *events}
 	}
-	campaignResults, err := morrigan.RunCampaign(ctx, cjobs, c.Options(*warmup+*measure))
+	campaignResults, err := runner.Run(ctx, cjobs, c.Options(*warmup+*measure))
 	c.Record.Add(campaignResults)
 
 	for i, res := range campaignResults {
@@ -204,8 +211,8 @@ func main() {
 // the Table 1 machine with the named iSTLB and I-cache prefetchers and the
 // geometry overrides applied. Unknown prefetcher names fail immediately,
 // before any simulation launches.
-func specFromFlags(pf, icachePf string, perfect, p2tlb, asap, icacheTLB bool, stlb, pb int) morrigan.MachineSpec {
-	spec := morrigan.DefaultMachineSpec()
+func specFromFlags(pf, icachePf string, perfect, p2tlb, asap, icacheTLB bool, stlb, pb int) machine.Spec {
+	spec := machine.Default()
 	spec.PerfectISTLB = perfect
 	spec.PrefetchIntoSTLB = p2tlb
 	spec.Walker.ASAP = asap
@@ -216,23 +223,23 @@ func specFromFlags(pf, icachePf string, perfect, p2tlb, asap, icacheTLB bool, st
 	switch pf {
 	case "none":
 	case "sp":
-		spec.Prefetcher = morrigan.SPSpec()
+		spec.Prefetcher = machine.SP()
 	case "asp":
-		spec.Prefetcher = morrigan.ASPSpec(440)
+		spec.Prefetcher = machine.ASP(440)
 	case "dp":
-		spec.Prefetcher = morrigan.DPSpec(648)
+		spec.Prefetcher = machine.DP(648)
 	case "mp":
-		spec.Prefetcher = morrigan.MPSpec(128, 4)
+		spec.Prefetcher = machine.MP(128, 4)
 	case "mp2inf":
-		spec.Prefetcher = morrigan.UnboundedMPSpec(2)
+		spec.Prefetcher = machine.UnboundedMP(2)
 	case "mpinf":
-		spec.Prefetcher = morrigan.UnboundedMPSpec(0)
+		spec.Prefetcher = machine.UnboundedMP(0)
 	case "morrigan":
-		spec.Prefetcher = morrigan.MorriganMachineSpec(morrigan.DefaultPrefetcherConfig())
+		spec.Prefetcher = machine.Morrigan(core.DefaultConfig())
 	case "morrigan2x":
-		spec.Prefetcher = morrigan.MorriganMachineSpec(morrigan.ScaledPrefetcherConfig(2))
+		spec.Prefetcher = machine.Morrigan(core.ScaledConfig(2))
 	case "mono":
-		spec.Prefetcher = morrigan.MorriganMachineSpec(morrigan.MonoPrefetcherConfig())
+		spec.Prefetcher = machine.Morrigan(core.MonoConfig())
 	default:
 		fatal("unknown prefetcher %q", pf)
 	}
@@ -240,11 +247,11 @@ func specFromFlags(pf, icachePf string, perfect, p2tlb, asap, icacheTLB bool, st
 	switch icachePf {
 	case "nextline":
 	case "fnlmma":
-		spec.ICachePrefetcher = morrigan.FNLMMASpec()
+		spec.ICachePrefetcher = machine.FNLMMA()
 	case "epi":
-		spec.ICachePrefetcher = morrigan.EPISpec()
+		spec.ICachePrefetcher = machine.EPI()
 	case "djolt":
-		spec.ICachePrefetcher = morrigan.DJoltSpec()
+		spec.ICachePrefetcher = machine.DJolt()
 	default:
 		fatal("unknown I-cache prefetcher %q", icachePf)
 	}
@@ -255,18 +262,18 @@ func specFromFlags(pf, icachePf string, perfect, p2tlb, asap, icacheTLB bool, st
 // the trace file), optionally colocating the -smt workload on every run.
 // Workload jobs are pure data — machine spec plus workload specs — so they
 // carry the canonical identity -results keys on (corpus feeding, when
-// enabled, rides CampaignOptions.NewReader). The -trace job streams records
+// enabled, rides runner.Options.NewReader). The -trace job streams records
 // from a file the workload vocabulary cannot describe, so it uses the
 // NewThreads escape hatch and always executes; its SMT sibling, if any, runs
 // from the live generator.
-func buildJobs(workload, traceFile, smt string, spec morrigan.MachineSpec, warmup, measure uint64) []morrigan.CampaignJob {
-	var smtSpecs []morrigan.Workload
+func buildJobs(workload, traceFile, smt string, spec machine.Spec, warmup, measure uint64) []runner.Job {
+	var smtSpecs []workloads.Spec
 	if smt != "" {
-		w, ok := morrigan.WorkloadByName(smt)
+		w, ok := workloads.ByName(smt)
 		if !ok {
 			fatal("unknown SMT workload %q", smt)
 		}
-		smtSpecs = []morrigan.Workload{w}
+		smtSpecs = []workloads.Spec{w}
 	}
 	label := func(name string) string {
 		if smt != "" {
@@ -275,45 +282,45 @@ func buildJobs(workload, traceFile, smt string, spec morrigan.MachineSpec, warmu
 		return name
 	}
 	if traceFile != "" {
-		return []morrigan.CampaignJob{{
+		return []runner.Job{{
 			Workload: label(traceFile),
 			Machine:  spec,
 			Warmup:   warmup, Measure: measure,
-			NewThreads: func() []morrigan.ThreadSpec {
+			NewThreads: func() []sim.ThreadSpec {
 				f, err := os.Open(traceFile)
 				if err != nil {
 					fatal("%v", err)
 				}
-				r, err := morrigan.NewTraceFileReader(f)
+				r, err := trace.NewFileReader(f)
 				if err != nil {
 					fatal("%v", err)
 				}
-				out := []morrigan.ThreadSpec{{Reader: r}}
+				out := []sim.ThreadSpec{{Reader: r}}
 				for i, w := range smtSpecs {
-					out = append(out, morrigan.ThreadSpec{Reader: w.NewReader(), VAOffset: morrigan.SMTVAOffset * morrigan.VAddr(i+1)})
+					out = append(out, sim.ThreadSpec{Reader: w.NewReader(), VAOffset: runner.SMTVAOffset * arch.VAddr(i+1)})
 				}
 				return out
 			},
 		}}
 	}
-	var jobs []morrigan.CampaignJob
+	var jobs []runner.Job
 	for _, name := range strings.Split(workload, ",") {
 		name = strings.TrimSpace(name)
-		w, ok := morrigan.WorkloadByName(name)
+		w, ok := workloads.ByName(name)
 		if !ok {
 			fatal("unknown workload %q (use -list)", name)
 		}
-		jobs = append(jobs, morrigan.CampaignJob{
+		jobs = append(jobs, runner.Job{
 			Workload:  label(name),
 			Machine:   spec,
-			Workloads: append([]morrigan.Workload{w}, smtSpecs...),
+			Workloads: append([]workloads.Spec{w}, smtSpecs...),
 			Warmup:    warmup, Measure: measure,
 		})
 	}
 	return jobs
 }
 
-func printStats(label, pf string, st morrigan.Stats) {
+func printStats(label, pf string, st sim.Stats) {
 	fmt.Printf("workload        %s\n", label)
 	fmt.Printf("prefetcher      %s\n", pf)
 	fmt.Printf("instructions    %d\n", st.Instructions)

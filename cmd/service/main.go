@@ -33,21 +33,26 @@ import (
 	"syscall"
 	"time"
 
-	"morrigan"
 	"morrigan/internal/cli"
+	"morrigan/internal/fabric"
+	"morrigan/internal/obs"
+	"morrigan/internal/runner"
+	"morrigan/internal/service"
+	"morrigan/internal/trace"
+	"morrigan/internal/workloads"
 )
 
 func main() {
 	var (
-		addr     = flag.String("addr", ":8080", "listen address for the job API and observability endpoints")
-		tenants  = flag.String("tenants", "", "JSON file declaring tenants (array of {name, token, max_queued_jobs, max_instructions})")
-		token    = flag.String("token", "", "convenience single-tenant mode: one tenant 'default' with this token and a 4096-job quota")
-		fabric   = flag.String("fabric", "", "serve a fabric coordinator on this address and delegate jobs to workers")
-		jobs     = flag.Int("jobs", 0, "concurrent simulations per campaign (0 = GOMAXPROCS)")
-		queue    = flag.Int("queue", 0, "max queued campaigns across all tenants (0 = 64)")
-		drainFor = flag.Duration("drain-timeout", 2*time.Minute, "how long a SIGTERM waits for the in-flight campaign before forcing exit")
-		verbose  = flag.Bool("v", false, "log admissions and completions")
-		stores   cli.Stores
+		addr       = flag.String("addr", ":8080", "listen address for the job API and observability endpoints")
+		tenants    = flag.String("tenants", "", "JSON file declaring tenants (array of {name, token, max_queued_jobs, max_instructions})")
+		token      = flag.String("token", "", "convenience single-tenant mode: one tenant 'default' with this token and a 4096-job quota")
+		fabricAddr = flag.String("fabric", "", "serve a fabric coordinator on this address and delegate jobs to workers")
+		jobs       = flag.Int("jobs", 0, "concurrent simulations per campaign (0 = GOMAXPROCS)")
+		queue      = flag.Int("queue", 0, "max queued campaigns across all tenants (0 = 64)")
+		drainFor   = flag.Duration("drain-timeout", 2*time.Minute, "how long a SIGTERM waits for the in-flight campaign before forcing exit")
+		verbose    = flag.Bool("v", false, "log admissions and completions")
+		stores     cli.Stores
 	)
 	stores.Register(flag.CommandLine)
 	flag.Parse()
@@ -57,12 +62,12 @@ func main() {
 		fatal("%v", err)
 	}
 
-	obsSrv := morrigan.NewObservabilityServer()
-	opt := morrigan.JobServiceOptions{
+	obsSrv := obs.New()
+	opt := service.Options{
 		Tenants:            tcs,
 		MaxQueuedCampaigns: *queue,
 		Workers:            *jobs,
-		Cache:              morrigan.NewCampaignResultCache(),
+		Cache:              runner.NewResultCache(),
 		Observer:           obsSrv,
 	}
 	if *verbose {
@@ -81,7 +86,7 @@ func main() {
 	}
 	if cs != nil {
 		defer cs.Close()
-		opt.NewReader = func(w morrigan.Workload) (morrigan.TraceReader, error) {
+		opt.NewReader = func(w workloads.Spec) (trace.Reader, error) {
 			c, err := cs.Materialize(w, 0)
 			if err != nil {
 				return nil, fmt.Errorf("corpus %s: %w", w.Name, err)
@@ -89,14 +94,14 @@ func main() {
 			return c.NewReader(), nil
 		}
 	}
-	var coord *morrigan.FabricCoordinator
-	if *fabric != "" {
-		copt := morrigan.FabricCoordinatorOptions{Corpus: cs}
+	var coord *fabric.Coordinator
+	if *fabricAddr != "" {
+		copt := fabric.CoordinatorOptions{Corpus: cs}
 		if *verbose {
 			copt.Log = os.Stderr
 		}
-		coord = morrigan.NewFabricCoordinator(copt)
-		baddr, err := coord.Start(*fabric)
+		coord = fabric.NewCoordinator(copt)
+		baddr, err := coord.Start(*fabricAddr)
 		if err != nil {
 			fatal("fabric: %v", err)
 		}
@@ -105,7 +110,7 @@ func main() {
 		obsSrv.AddGaugeSource(coord.Gauges)
 	}
 
-	svc, err := morrigan.NewJobService(opt)
+	svc, err := service.New(opt)
 	if err != nil {
 		fatal("%v", err)
 	}
@@ -156,7 +161,7 @@ func main() {
 
 // loadTenants resolves the tenant set from -tenants (a JSON file) or the
 // -token convenience flag; exactly one must be given.
-func loadTenants(path, token string) ([]morrigan.ServiceTenant, error) {
+func loadTenants(path, token string) ([]service.TenantConfig, error) {
 	switch {
 	case path != "" && token != "":
 		return nil, fmt.Errorf("-tenants and -token are mutually exclusive")
@@ -165,13 +170,13 @@ func loadTenants(path, token string) ([]morrigan.ServiceTenant, error) {
 		if err != nil {
 			return nil, err
 		}
-		var tcs []morrigan.ServiceTenant
+		var tcs []service.TenantConfig
 		if err := json.Unmarshal(raw, &tcs); err != nil {
 			return nil, fmt.Errorf("parsing %s: %w", path, err)
 		}
 		return tcs, nil
 	case token != "":
-		return []morrigan.ServiceTenant{{Name: "default", Token: token, MaxQueuedJobs: 4096}}, nil
+		return []service.TenantConfig{{Name: "default", Token: token, MaxQueuedJobs: 4096}}, nil
 	default:
 		return nil, fmt.Errorf("-tenants file or -token is required")
 	}

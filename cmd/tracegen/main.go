@@ -20,7 +20,10 @@ import (
 	"runtime"
 	"time"
 
-	"morrigan"
+	"morrigan/internal/runner"
+	"morrigan/internal/trace"
+	"morrigan/internal/tracestore"
+	"morrigan/internal/workloads"
 )
 
 func main() {
@@ -42,20 +45,20 @@ func main() {
 	if *benchOut != "" && *corpusDir == "" {
 		fatal("-bench requires -corpus")
 	}
-	var w morrigan.Workload
+	var w workloads.Spec
 	if *params != "" {
 		pf, err := os.Open(*params)
 		if err != nil {
 			fatal("%v", err)
 		}
-		w, err = morrigan.LoadWorkloadSpec(pf)
+		w, err = workloads.LoadSpec(pf)
 		pf.Close()
 		if err != nil {
 			fatal("%v", err)
 		}
 	} else {
 		var ok bool
-		w, ok = morrigan.WorkloadByName(*workload)
+		w, ok = workloads.ByName(*workload)
 		if !ok {
 			fatal("unknown workload %q", *workload)
 		}
@@ -71,12 +74,12 @@ func main() {
 		fatal("%v", err)
 	}
 	defer f.Close()
-	tw, err := morrigan.NewTraceWriter(f, *compress)
+	tw, err := trace.NewWriter(f, *compress)
 	if err != nil {
 		fatal("%v", err)
 	}
 	gen := w.NewReader()
-	var rec morrigan.TraceRecord
+	var rec trace.Record
 	for i := uint64(0); i < *n; i++ {
 		if err := gen.Next(&rec); err != nil {
 			fatal("generating: %v", err)
@@ -98,8 +101,8 @@ func main() {
 
 // buildCorpus materialises the workload into a corpus store and optionally
 // benchmarks reading it back against live generation.
-func buildCorpus(w morrigan.Workload, n uint64, dir string, chunkRecs, workers int, benchOut string) {
-	store, err := morrigan.OpenCorpusStore(morrigan.CorpusOptions{
+func buildCorpus(w workloads.Spec, n uint64, dir string, chunkRecs, workers int, benchOut string) {
+	store, err := tracestore.Open(tracestore.Options{
 		Dir:          dir,
 		ChunkRecords: chunkRecs,
 		BuildWorkers: workers,
@@ -140,10 +143,10 @@ func buildCorpus(w morrigan.Workload, n uint64, dir string, chunkRecs, workers i
 // shared chunk cache has amortised decoding across jobs, and they must beat
 // regenerating the trace live. The cold entry records what the first reader
 // of each chunk pays.
-func writeBench(path string, w morrigan.Workload, c *morrigan.Corpus, store *morrigan.CorpusStore) {
+func writeBench(path string, w workloads.Spec, c *tracestore.Corpus, store *tracestore.Store) {
 	records := c.Records()
-	b := morrigan.CampaignBench{
-		Schema:     morrigan.CampaignBenchSchemaVersion,
+	b := runner.Bench{
+		Schema:     runner.BenchSchemaVersion,
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
 	}
@@ -153,7 +156,7 @@ func writeBench(path string, w morrigan.Workload, c *morrigan.Corpus, store *mor
 			fatal("bench %s: %v", key, err)
 		}
 		ms := float64(time.Since(start).Microseconds()) / 1000
-		e := morrigan.CampaignBenchEntry{
+		e := runner.BenchEntry{
 			Key:          key,
 			Instructions: records,
 			ElapsedMS:    ms,
@@ -166,9 +169,9 @@ func writeBench(path string, w morrigan.Workload, c *morrigan.Corpus, store *mor
 		b.TotalElapsedMS += ms
 		b.Entries = append(b.Entries, e)
 	}
-	var rec morrigan.TraceRecord
+	var rec trace.Record
 	add("trace/generator/"+w.Name, func() error {
-		r := morrigan.LimitTrace(w.NewReader(), records)
+		r := trace.Limit(w.NewReader(), records)
 		for {
 			if err := r.Next(&rec); err == io.EOF {
 				return nil
@@ -180,7 +183,7 @@ func writeBench(path string, w morrigan.Workload, c *morrigan.Corpus, store *mor
 	drainBatches := func() error {
 		r := c.NewReader()
 		defer r.Close()
-		buf := make([]morrigan.TraceRecord, 4096)
+		buf := make([]trace.Record, 4096)
 		for {
 			if _, err := r.NextBatch(buf); err == io.EOF {
 				return nil
@@ -206,7 +209,7 @@ func writeBench(path string, w morrigan.Workload, c *morrigan.Corpus, store *mor
 		b.InstrPerSec = float64(b.TotalInstructions) / (b.TotalElapsedMS / 1000)
 	}
 	cs := store.CacheStats()
-	b.TraceSupply = &morrigan.CampaignTraceSupply{
+	b.TraceSupply = &runner.TraceSupply{
 		CorpusDir:      store.Dir(),
 		CacheGets:      cs.Gets,
 		CacheHits:      cs.Hits,

@@ -24,9 +24,10 @@ import (
 	"path/filepath"
 	"sort"
 
-	"morrigan"
 	"morrigan/internal/arch"
 	"morrigan/internal/stats"
+	"morrigan/internal/trace"
+	"morrigan/internal/tracestore"
 )
 
 func main() {
@@ -68,7 +69,7 @@ func isCorpusContainer(path string) bool {
 // storeInfo prints a corpus directory's manifest, optionally verifying every
 // container it lists.
 func storeInfo(dir string, verify bool) {
-	m, err := morrigan.ReadCorpusManifest(dir)
+	m, err := tracestore.ReadManifest(dir)
 	if err != nil {
 		fatal("%v", err)
 	}
@@ -105,7 +106,7 @@ func storeInfo(dir string, verify bool) {
 // verifyContainer opens one container and checks it chunk by chunk, plus its
 // record count against the manifest's.
 func verifyContainer(path string, wantRecords uint64) error {
-	c, err := morrigan.OpenCorpusFile(path)
+	c, err := tracestore.OpenFile(path)
 	if err != nil {
 		return err
 	}
@@ -118,7 +119,7 @@ func verifyContainer(path string, wantRecords uint64) error {
 
 // corpusInfo prints one container's geometry and per-chunk table.
 func corpusInfo(path string, verify bool) {
-	c, err := morrigan.OpenCorpusFile(path)
+	c, err := tracestore.OpenFile(path)
 	if err != nil {
 		fatal("%v", err)
 	}
@@ -154,13 +155,13 @@ func traceFileInfo(path string) {
 		fatal("%v", err)
 	}
 	defer f.Close()
-	r, err := morrigan.NewTraceFileReader(f)
+	r, err := trace.NewFileReader(f)
 	if err != nil {
 		fatal("%v", err)
 	}
 
 	var (
-		rec         morrigan.TraceRecord
+		rec         trace.Record
 		n           uint64
 		loads       uint64
 		stores      uint64

@@ -363,7 +363,7 @@ func samplingGauges(profiles *sampling.ProfileStore) func() []obs.Gauge {
 		if profiles != nil {
 			gs = append(gs,
 				obs.Gauge{Name: "morrigan_sampling_profiles_built_total", Help: "Sampling profile artifacts built by this process.", Value: float64(profiles.Built())},
-				obs.Gauge{Name: "morrigan_sampling_profiles_reused_total", Help: "Sampling profile artifacts served from the on-disk store.", Value: float64(profiles.Reused())},
+				obs.Gauge{Name: "morrigan_sampling_profiles_reused_total", Help: "Sampling profile requests served from the profile store (memory or disk).", Value: float64(profiles.Reused())},
 			)
 		}
 		return gs

@@ -131,20 +131,8 @@ func Colocation(o Options) (*Table, error) {
 		for _, c := range configs {
 			a := accs[c.name]
 			t.AddRow(fmt.Sprintf("%d-way", way), c.name,
-				f2(mean(a.ipc)), f2(mean(a.mpki)), f2(mean(a.infl)), f2(mean(a.fair)))
+				f2(stats.Mean(a.ipc)), f2(stats.Mean(a.mpki)), f2(stats.Mean(a.infl)), f2(stats.Mean(a.fair)))
 		}
 	}
 	return t, nil
-}
-
-// mean is the arithmetic mean; 0 for an empty sample.
-func mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
 }

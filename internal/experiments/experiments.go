@@ -366,6 +366,15 @@ var Registry = map[string]func(Options) (*Table, error){
 	"colocation":    Colocation,
 }
 
+// Run regenerates one of the paper's tables or figures by its ID.
+func Run(id string, o Options) (*Table, error) {
+	fn, ok := Registry[id]
+	if !ok {
+		return nil, fmt.Errorf("unknown experiment %q (see -list)", id)
+	}
+	return fn(o)
+}
+
 // Order lists the experiments in paper order.
 var Order = []string{
 	"table1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",

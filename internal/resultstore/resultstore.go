@@ -34,6 +34,7 @@ import (
 	"strings"
 	"sync"
 
+	"morrigan/internal/atomicfile"
 	"morrigan/internal/runner"
 	"morrigan/internal/sampling"
 	"morrigan/internal/sim"
@@ -228,23 +229,12 @@ func (s *Store) write(rec Record) error {
 	if err := os.MkdirAll(shard, 0o755); err != nil {
 		return fmt.Errorf("resultstore: %w", err)
 	}
-	tmp, err := os.CreateTemp(shard, ".put-*")
-	if err != nil {
-		return fmt.Errorf("resultstore: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after the rename
-	_, err = tmp.Write(append(env, '\n'))
-	if err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
+	err = atomicfile.Write(filepath.Join(shard, rec.Key+".json"), func(f *os.File) error {
+		_, err := f.Write(append(env, '\n'))
+		return err
+	})
 	if err != nil {
 		return fmt.Errorf("resultstore: writing %.12s…: %w", rec.Key, err)
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(shard, rec.Key+".json")); err != nil {
-		return fmt.Errorf("resultstore: %w", err)
 	}
 	return nil
 }

@@ -410,7 +410,7 @@ func TestJournalAppendSyncError(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), ".put-") {
+		if strings.HasPrefix(e.Name(), ".") { // atomicfile temp files are dot-files
 			t.Errorf("failed put left its temp file %s behind", e.Name())
 		}
 	}

@@ -219,16 +219,13 @@ type Options struct {
 	// and internal/fabric). Reuse layers still apply: only jobs missing
 	// from the store and cache are delegated.
 	Remote RemoteExecutor
-	// Profiles, when non-nil, caches sampling profile artifacts on disk
-	// (typically <corpus>/profiles) so the functional profiling pass of a
-	// sampled job is paid once per workload and window. Without it, Run
-	// falls back to an in-memory per-campaign cache with the same sharing:
-	// the pass depends only on the workload and window, never the machine,
-	// so an N-config sweep pays it once per workload either way.
+	// Profiles caches sampling profile artifacts so the functional
+	// profiling pass of a sampled job is paid once per workload and window:
+	// the pass depends only on the workload and window, never the machine.
+	// Attach a store on disk (typically <corpus>/profiles) to share
+	// artifacts across campaigns; when nil and a job is sampled, Run
+	// installs a memory-only store for the campaign.
 	Profiles *sampling.ProfileStore
-	// memProfiles is the fallback in-memory profile cache, installed by Run
-	// when sampled jobs are present and no disk store is attached.
-	memProfiles *sampling.MemProfileCache
 	// Spans, when non-nil, records a distributed-tracing span for every job
 	// lifecycle phase — reuse lookups, cache waits, machine build, corpus
 	// ingest, sampled fast-forward/settle, timed simulation, persistence —
@@ -307,7 +304,7 @@ func Run(ctx context.Context, jobs []Job, opt Options) ([]Result, error) {
 	if opt.Profiles == nil {
 		for i := range jobs {
 			if jobs[i].Sampling != nil {
-				opt.memProfiles = sampling.NewMemProfileCache()
+				opt.Profiles, _ = sampling.OpenProfileStore("") // memory-only: cannot fail
 				break
 			}
 		}

@@ -3,7 +3,6 @@ package runner
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"morrigan/internal/sampling"
 	"morrigan/internal/sim"
@@ -11,10 +10,10 @@ import (
 )
 
 // executeSampled runs one job in sampled-execution mode: a functional
-// profiling pass (served from Options.Profiles when attached), deterministic
-// clustering into representative intervals, then fast-forward-and-measure
-// over each representative on a fresh simulator, extrapolating the weighted
-// Stats with confidence intervals.
+// profiling pass (served from Options.Profiles, which Run installs for
+// sampled jobs), deterministic clustering into representative intervals,
+// then fast-forward-and-measure over each representative on a fresh
+// simulator, extrapolating the weighted Stats with confidence intervals.
 //
 // The built simulator is published through sp so the caller's deferred
 // accounting (SimInstructions via Executed, which fast-forwarded
@@ -39,23 +38,8 @@ func executeSampled(ctx context.Context, sp **sim.Simulator, cfg sim.Config, j J
 		return w.NewReader(), nil
 	}
 
-	var prof *sampling.Profile
-	var err error
 	profSpan := opt.Spans.Start(traceID, "sample.profile")
-	switch {
-	case opt.Profiles != nil:
-		prof, err = opt.Profiles.Profile(w.Hash(), j.Warmup, j.Measure, pol.Interval, newReader)
-	case opt.memProfiles != nil:
-		prof, err = opt.memProfiles.Profile(w.Hash(), j.Warmup, j.Measure, pol.Interval, newReader)
-	default:
-		var r trace.Reader
-		if r, err = newReader(); err == nil {
-			prof, err = sampling.BuildProfile(r, w.Hash(), j.Warmup, j.Measure, pol.Interval)
-			if c, ok := r.(io.Closer); ok {
-				c.Close()
-			}
-		}
-	}
+	prof, err := opt.Profiles.Profile(w.Hash(), j.Warmup, j.Measure, pol.Interval, newReader)
 	profSpan.End()
 	if err != nil {
 		return sim.Stats{}, nil, err

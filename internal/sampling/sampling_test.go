@@ -349,8 +349,18 @@ func TestRecordOutcomeTotals(t *testing.T) {
 	}
 }
 
+// memStore opens a memory-only profile store.
+func memStore(t *testing.T) *ProfileStore {
+	t.Helper()
+	ps, err := OpenProfileStore("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ps
+}
+
 func TestMemProfileCacheSharesAcrossConfigs(t *testing.T) {
-	mc := NewMemProfileCache()
+	mc := memStore(t)
 	builds := 0
 	newReader := func() (trace.Reader, error) {
 		builds++
@@ -396,7 +406,7 @@ func TestMemProfileCacheSharesAcrossConfigs(t *testing.T) {
 }
 
 func TestMemProfileCacheErrorNotCached(t *testing.T) {
-	mc := NewMemProfileCache()
+	mc := memStore(t)
 	fail := true
 	newReader := func() (trace.Reader, error) {
 		if fail {
@@ -413,5 +423,37 @@ func TestMemProfileCacheErrorNotCached(t *testing.T) {
 	}
 	if mc.Built() != 1 {
 		t.Errorf("built=%d, want 1", mc.Built())
+	}
+}
+
+// TestProfileStoreServesFromMemory: a disk store keeps what it built in
+// memory, so a second request needs neither the functional pass nor the file.
+func TestProfileStoreServesFromMemory(t *testing.T) {
+	dir := t.TempDir()
+	ps, err := OpenProfileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	builds := 0
+	newReader := func() (trace.Reader, error) {
+		builds++
+		return &sliceReader{recs: loopTrace(5_000, 8)}, nil
+	}
+	a, err := ps.Profile("w", 0, 5_000, 1_000, newReader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, ProfileKey("w", 0, 5_000, 1_000)+".json")); err != nil {
+		t.Fatal(err)
+	}
+	b, err := ps.Profile("w", 0, 5_000, 1_000, newReader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if builds != 1 || ps.Built() != 1 || ps.Reused() != 1 {
+		t.Errorf("builds=%d built=%d reused=%d, want 1/1/1", builds, ps.Built(), ps.Reused())
+	}
+	if a != b {
+		t.Error("second request did not return the in-memory profile")
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"morrigan/internal/atomicfile"
 	"morrigan/internal/trace"
 )
 
@@ -43,15 +44,21 @@ func ProfileKey(workloadHash string, skip, measure, interval uint64) string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
-// ProfileStore caches profile artifacts on disk, one JSON file per key,
-// typically in a profiles/ directory beside the trace corpus. Builds are
-// single-flighted per key, so concurrent jobs over the same workload pay the
-// functional pass once.
+// ProfileStore caches profile artifacts for the lifetime of a campaign. The
+// functional profiling pass depends only on the workload and the sampling
+// window — not on the machine under test — so a sweep that runs N
+// configurations over the same workload pays the pass once. Every store keeps
+// completed profiles in memory (a campaign's distinct (workload, window) set
+// is small and each profile is a few KB) and single-flights builds per key;
+// failed builds are dropped so a transient reader error doesn't poison the
+// key. A store opened on a directory also persists each artifact there as one
+// JSON file per key, typically in a profiles/ directory beside the trace
+// corpus, so later campaigns reuse it.
 type ProfileStore struct {
-	dir string
+	dir string // "" = memory only
 
-	mu       sync.Mutex
-	inflight map[string]*profileCall
+	mu    sync.Mutex
+	calls map[string]*profileCall
 
 	built  atomic.Uint64
 	reused atomic.Uint64
@@ -63,15 +70,18 @@ type profileCall struct {
 	err  error
 }
 
-// OpenProfileStore creates (if needed) and opens the artifact directory.
+// OpenProfileStore opens a profile store on dir, creating it if needed; an
+// empty dir gives a memory-only store.
 func OpenProfileStore(dir string) (*ProfileStore, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("sampling: profile store: %w", err)
+	if dir != "" {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return nil, fmt.Errorf("sampling: profile store: %w", err)
+		}
 	}
-	return &ProfileStore{dir: dir, inflight: make(map[string]*profileCall)}, nil
+	return &ProfileStore{dir: dir, calls: make(map[string]*profileCall)}, nil
 }
 
-// Dir returns the store's directory.
+// Dir returns the store's directory ("" for a memory-only store).
 func (ps *ProfileStore) Dir() string { return ps.dir }
 
 func (ps *ProfileStore) path(key string) string {
@@ -80,12 +90,13 @@ func (ps *ProfileStore) path(key string) string {
 
 // Profile returns the cached artifact for the window, building it with a
 // functional pass over a fresh reader from newReader when absent. The
-// returned profile is shared; callers must not mutate it.
+// returned profile is shared; callers must not mutate it (Cluster copies
+// before normalising).
 func (ps *ProfileStore) Profile(workloadHash string, skip, measure, interval uint64, newReader func() (trace.Reader, error)) (*Profile, error) {
 	key := ProfileKey(workloadHash, skip, measure, interval)
 
 	ps.mu.Lock()
-	if call, ok := ps.inflight[key]; ok {
+	if call, ok := ps.calls[key]; ok {
 		ps.mu.Unlock()
 		<-call.done
 		if call.err == nil {
@@ -94,10 +105,12 @@ func (ps *ProfileStore) Profile(workloadHash string, skip, measure, interval uin
 		return call.prof, call.err
 	}
 	call := &profileCall{done: make(chan struct{})}
-	ps.inflight[key] = call
+	ps.calls[key] = call
 	ps.mu.Unlock()
 
-	call.prof, call.err = ps.load(key, workloadHash, skip, measure, interval)
+	if ps.dir != "" {
+		call.prof, call.err = ps.load(key, workloadHash, skip, measure, interval)
+	}
 	if call.err == nil && call.prof != nil {
 		ps.reused.Add(1)
 	}
@@ -109,9 +122,11 @@ func (ps *ProfileStore) Profile(workloadHash string, skip, measure, interval uin
 	}
 	close(call.done)
 
-	ps.mu.Lock()
-	delete(ps.inflight, key)
-	ps.mu.Unlock()
+	if call.err != nil {
+		ps.mu.Lock()
+		delete(ps.calls, key)
+		ps.mu.Unlock()
+	}
 	return call.prof, call.err
 }
 
@@ -149,28 +164,19 @@ func (ps *ProfileStore) build(key, workloadHash string, skip, measure, interval 
 	if err != nil {
 		return nil, err
 	}
+	if ps.dir == "" {
+		return prof, nil
+	}
 
 	raw, err := json.Marshal(prof)
 	if err != nil {
 		return nil, err
 	}
-	tmp, err := os.CreateTemp(ps.dir, ".profile-*.tmp")
+	err = atomicfile.Write(ps.path(key), func(f *os.File) error {
+		_, err := f.Write(raw)
+		return err
+	})
 	if err != nil {
-		return nil, fmt.Errorf("sampling: profile store: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(raw); err != nil {
-		tmp.Close()
-		return nil, fmt.Errorf("sampling: profile store: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return nil, fmt.Errorf("sampling: profile store: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return nil, fmt.Errorf("sampling: profile store: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), ps.path(key)); err != nil {
 		return nil, fmt.Errorf("sampling: profile store: %w", err)
 	}
 	return prof, nil
@@ -182,9 +188,9 @@ func closeReader(r trace.Reader) {
 	}
 }
 
-// Built returns how many profiles this store instance computed from scratch.
+// Built returns how many profiles this store computed from scratch.
 func (ps *ProfileStore) Built() uint64 { return ps.built.Load() }
 
-// Reused returns how many profile requests were served from cache (on disk
-// or in flight).
+// Reused returns how many profile requests were served from cache (in
+// memory, on disk or in flight).
 func (ps *ProfileStore) Reused() uint64 { return ps.reused.Load() }

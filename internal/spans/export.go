@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+
+	"morrigan/internal/atomicfile"
 )
 
 // WriteJSONL emits one span per line as JSON, in the order given.
@@ -151,26 +153,13 @@ func category(name string) string {
 
 // WriteFile writes the spans to path, choosing the format by extension:
 // ".jsonl" gets one span per line, anything else the Chrome trace-event JSON
-// document. The write is atomic (temp file + rename) so a crash mid-export
-// never leaves a truncated trace.
+// document. The write is atomic (see internal/atomicfile) so a crash
+// mid-export never leaves a truncated trace.
 func WriteFile(path string, ss []Span) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".trace-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	var werr error
-	if strings.EqualFold(filepath.Ext(path), ".jsonl") {
-		werr = WriteJSONL(tmp, ss)
-	} else {
-		werr = WriteChromeTrace(tmp, ss)
-	}
-	if cerr := tmp.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		return werr
-	}
-	return os.Rename(tmp.Name(), path)
+	return atomicfile.Write(path, func(f *os.File) error {
+		if strings.EqualFold(filepath.Ext(path), ".jsonl") {
+			return WriteJSONL(f, ss)
+		}
+		return WriteChromeTrace(f, ss)
+	})
 }

@@ -6,7 +6,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -136,16 +135,6 @@ func (d *DeltaDistribution) CumulativeUpTo(limit uint64) float64 {
 	return float64(n) / float64(d.total) * 100
 }
 
-// CDF returns the cumulative distribution evaluated at each of the given
-// (ascending) delta limits, in percent.
-func (d *DeltaDistribution) CDF(limits []uint64) []float64 {
-	out := make([]float64, len(limits))
-	for i, l := range limits {
-		out[i] = d.CumulativeUpTo(l)
-	}
-	return out
-}
-
 // PageFrequency accumulates per-page miss counts (paper Figure 6).
 type PageFrequency struct {
 	counts map[uint64]uint64
@@ -195,47 +184,6 @@ func (p *PageFrequency) PagesForCoverage(percent float64) int {
 		}
 	}
 	return len(p.counts)
-}
-
-// CoverageOfTop returns the percentage of misses covered by the n hottest
-// pages.
-func (p *PageFrequency) CoverageOfTop(n int) float64 {
-	if p.total == 0 {
-		return 0
-	}
-	var cum uint64
-	for i, c := range p.sorted() {
-		if i >= n {
-			break
-		}
-		cum += c
-	}
-	return float64(cum) / float64(p.total) * 100
-}
-
-// TopPages returns the n hottest pages in decreasing miss-count order.
-func (p *PageFrequency) TopPages(n int) []uint64 {
-	type pc struct {
-		page, count uint64
-	}
-	all := make([]pc, 0, len(p.counts))
-	for pg, c := range p.counts {
-		all = append(all, pc{pg, c})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].count != all[j].count {
-			return all[i].count > all[j].count
-		}
-		return all[i].page < all[j].page
-	})
-	if n > len(all) {
-		n = len(all)
-	}
-	out := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		out[i] = all[i].page
-	}
-	return out
 }
 
 // SuccessorStats accumulates the successor-page structure of a miss stream
@@ -352,49 +300,3 @@ func (s *SuccessorStats) TopPageSuccessorProbabilities(topN int) (first, second,
 	}
 	return first, second, third, rest
 }
-
-// Histogram is a fixed-bucket counter keyed by small integers, used for
-// per-level breakdowns and similar small categorical tallies.
-type Histogram struct {
-	Counts []uint64
-}
-
-// NewHistogram returns a histogram with n buckets.
-func NewHistogram(n int) *Histogram { return &Histogram{Counts: make([]uint64, n)} }
-
-// Add increments bucket i by n; out-of-range buckets are clamped to the last
-// bucket so callers never lose counts.
-func (h *Histogram) Add(i int, n uint64) {
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.Counts) {
-		i = len(h.Counts) - 1
-	}
-	h.Counts[i] += n
-}
-
-// Total returns the sum over all buckets.
-func (h *Histogram) Total() uint64 {
-	var t uint64
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
-// Percentages returns each bucket as a percentage of the total.
-func (h *Histogram) Percentages() []float64 {
-	t := h.Total()
-	out := make([]float64, len(h.Counts))
-	if t == 0 {
-		return out
-	}
-	for i, c := range h.Counts {
-		out[i] = float64(c) / float64(t) * 100
-	}
-	return out
-}
-
-// FormatPct renders a float percentage with one decimal, for table output.
-func FormatPct(v float64) string { return fmt.Sprintf("%.1f%%", v) }

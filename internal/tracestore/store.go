@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"morrigan/internal/atomicfile"
 	"morrigan/internal/workloads"
 )
 
@@ -230,24 +231,16 @@ func (s *Store) adoptLocked(key, workload string, c *Corpus) {
 // build materialises the workload into a new container and updates the
 // manifest, both atomically (write to temp, rename).
 func (s *Store) build(spec workloads.Spec, key string, records uint64) (*Corpus, error) {
-	tmp, err := os.CreateTemp(s.opt.Dir, ".build-*")
-	if err != nil {
-		return nil, fmt.Errorf("tracestore: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after the rename
-	_, err = Build(tmp, spec.NewReader(), records, BuildOptions{
-		ChunkRecords: s.opt.ChunkRecords,
-		Workers:      s.opt.BuildWorkers,
+	file := fmt.Sprintf("%s-%s.mtc", sanitizeName(spec.Name), key[:12])
+	err := atomicfile.Write(filepath.Join(s.opt.Dir, file), func(f *os.File) error {
+		_, err := Build(f, spec.NewReader(), records, BuildOptions{
+			ChunkRecords: s.opt.ChunkRecords,
+			Workers:      s.opt.BuildWorkers,
+		})
+		return err
 	})
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
 	if err != nil {
 		return nil, fmt.Errorf("tracestore: building %s: %w", spec.Name, err)
-	}
-	file := fmt.Sprintf("%s-%s.mtc", sanitizeName(spec.Name), key[:12])
-	if err := os.Rename(tmp.Name(), filepath.Join(s.opt.Dir, file)); err != nil {
-		return nil, fmt.Errorf("tracestore: %w", err)
 	}
 	c, err := OpenFile(filepath.Join(s.opt.Dir, file))
 	if err != nil {
@@ -281,35 +274,22 @@ func (s *Store) build(spec workloads.Spec, key string, records uint64) (*Corpus,
 // superseded, exactly as a rebuild would.
 func (s *Store) Ingest(spec workloads.Spec, r io.Reader) (*Corpus, error) {
 	key := spec.Hash()
-	tmp, err := os.CreateTemp(s.opt.Dir, ".ingest-*")
-	if err != nil {
-		return nil, fmt.Errorf("tracestore: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after the rename
-	_, err = io.Copy(tmp, r)
-	if err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return nil, fmt.Errorf("tracestore: ingesting %s: %w", spec.Name, err)
-	}
-	c, err := OpenFile(tmp.Name())
-	if err != nil {
-		return nil, fmt.Errorf("tracestore: ingesting %s: %w", spec.Name, err)
-	}
-	if err := c.Verify(); err != nil {
-		c.Close()
-		return nil, fmt.Errorf("tracestore: ingesting %s: %w", spec.Name, err)
-	}
-	c.Close()
 	file := fmt.Sprintf("%s-%s.mtc", sanitizeName(spec.Name), key[:12])
-	if err := os.Rename(tmp.Name(), filepath.Join(s.opt.Dir, file)); err != nil {
-		return nil, fmt.Errorf("tracestore: %w", err)
+	err := atomicfile.Write(filepath.Join(s.opt.Dir, file), func(f *os.File) error {
+		if _, err := io.Copy(f, r); err != nil {
+			return err
+		}
+		c, err := OpenFile(f.Name())
+		if err != nil {
+			return err
+		}
+		defer c.Close()
+		return c.Verify()
+	})
+	if err != nil {
+		return nil, fmt.Errorf("tracestore: ingesting %s: %w", spec.Name, err)
 	}
-	c, err = OpenFile(filepath.Join(s.opt.Dir, file))
+	c, err := OpenFile(filepath.Join(s.opt.Dir, file))
 	if err != nil {
 		return nil, err
 	}
@@ -350,20 +330,12 @@ func (s *Store) writeManifestLocked() error {
 	if err != nil {
 		return fmt.Errorf("tracestore: %w", err)
 	}
-	tmp, err := os.CreateTemp(s.opt.Dir, ".manifest-*")
-	if err != nil {
-		return fmt.Errorf("tracestore: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	_, err = tmp.Write(append(raw, '\n'))
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
+	err = atomicfile.Write(filepath.Join(s.opt.Dir, manifestName), func(f *os.File) error {
+		_, err := f.Write(append(raw, '\n'))
+		return err
+	})
 	if err != nil {
 		return fmt.Errorf("tracestore: writing manifest: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(s.opt.Dir, manifestName)); err != nil {
-		return fmt.Errorf("tracestore: %w", err)
 	}
 	return nil
 }

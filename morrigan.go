@@ -16,9 +16,13 @@
 //     core model with SMT colocation support;
 //   - a synthetic server-workload generator calibrated to the paper's
 //     measured iSTLB miss-stream properties, a binary trace file format,
-//     and the 45-workload "QMM-like" evaluation suite;
-//   - an experiment harness that regenerates every table and figure of the
-//     paper's evaluation (see DESIGN.md and EXPERIMENTS.md).
+//     and the 45-workload "QMM-like" evaluation suite.
+//
+// The campaign machinery that regenerates the paper's tables and figures
+// (experiments, result stores, trace corpora, sampling, the distributed
+// fabric and the job service) is not part of this package: it lives under
+// internal/ and is driven by the commands in cmd/ (see DESIGN.md and
+// EXPERIMENTS.md).
 //
 // # Quick start
 //
@@ -30,7 +34,7 @@
 //	stats, err := s.Run(1_000_000, 5_000_000) // warmup, measure
 //	fmt.Println(stats.IPC, stats.ISTLBMPKI, stats.PBHits)
 //
-// The package root re-exports the library's stable surface; the
+// The package root re-exports the simulation library's stable surface; the
 // implementation lives under internal/.
 package morrigan
 
@@ -40,7 +44,6 @@ import (
 	"morrigan/internal/arch"
 	"morrigan/internal/core"
 	"morrigan/internal/icache"
-	"morrigan/internal/machine"
 	"morrigan/internal/sim"
 	"morrigan/internal/tlbprefetch"
 	"morrigan/internal/trace"
@@ -123,64 +126,6 @@ type (
 // STLB prefetching and a next-line I-cache prefetcher.
 func DefaultConfig() Config { return sim.DefaultConfig() }
 
-// Machine specs: declarative, JSON-serialisable machine descriptions with a
-// stable content hash. A spec is pure data — Build turns it into a live
-// Config (fresh prefetcher state and all), and Hash gives campaigns a
-// machine identity for checkpointing and cross-experiment result reuse.
-type (
-	// MachineSpec describes one simulated machine as data.
-	MachineSpec = machine.Spec
-	// MachinePrefetcherSpec selects and parameterises an iSTLB prefetcher.
-	MachinePrefetcherSpec = machine.PrefetcherSpec
-	// MachineICacheSpec selects and parameterises an I-cache prefetcher.
-	MachineICacheSpec = machine.ICacheSpec
-	// MorriganSpec parameterises the Morrigan prefetcher as data.
-	MorriganSpec = machine.MorriganSpec
-)
-
-// DefaultMachineSpec returns the Table 1 machine as a declarative spec;
-// DefaultMachineSpec().Build() is equivalent to DefaultConfig().
-func DefaultMachineSpec() MachineSpec { return machine.Default() }
-
-// MorriganMachineSpec returns the Morrigan prefetcher spec for cfg.
-func MorriganMachineSpec(cfg PrefetcherConfig) MachinePrefetcherSpec { return machine.Morrigan(cfg) }
-
-// Machine-spec constructors for the named prefetchers — the same vocabulary
-// as the New* constructors above, but as data.
-
-// SPSpec is the Sequential Prefetcher as a spec.
-func SPSpec() MachinePrefetcherSpec { return machine.SP() }
-
-// ASPSpec is the Arbitrary Stride Prefetcher as a spec.
-func ASPSpec(entries int) MachinePrefetcherSpec { return machine.ASP(entries) }
-
-// DPSpec is the Distance Prefetcher as a spec.
-func DPSpec(entries int) MachinePrefetcherSpec { return machine.DP(entries) }
-
-// MPSpec is the Markov Prefetcher as a spec.
-func MPSpec(entries, ways int) MachinePrefetcherSpec { return machine.MP(entries, ways) }
-
-// UnboundedMPSpec is the Section 3.4 idealization as a spec; maxSucc <= 0
-// means unlimited successors per entry.
-func UnboundedMPSpec(maxSucc int) MachinePrefetcherSpec { return machine.UnboundedMP(maxSucc) }
-
-// FNLMMASpec is the FNL+MMA-style I-cache prefetcher as a spec.
-func FNLMMASpec() MachineICacheSpec { return machine.FNLMMA() }
-
-// EPISpec is the entangling-style I-cache prefetcher as a spec.
-func EPISpec() MachineICacheSpec { return machine.EPI() }
-
-// DJoltSpec is the D-Jolt-style I-cache prefetcher as a spec.
-func DJoltSpec() MachineICacheSpec { return machine.DJolt() }
-
-// LoadMachineSpec parses a machine spec from its JSON form, rejecting
-// unknown fields and specs that fail validation.
-func LoadMachineSpec(r io.Reader) (MachineSpec, error) { return machine.Load(r) }
-
-// SaveMachineSpec serialises a machine spec as JSON readable by
-// LoadMachineSpec.
-func SaveMachineSpec(w io.Writer, s MachineSpec) error { return machine.Save(w, s) }
-
 // NewSimulator builds a simulator over one or two threads.
 func NewSimulator(cfg Config, threads []ThreadSpec) (*Simulator, error) {
 	return sim.New(cfg, threads)
@@ -262,3 +207,20 @@ func WorkloadByName(name string) (Workload, bool) { return workloads.ByName(name
 // NewServerTrace builds a synthetic server instruction stream from params;
 // the stream is infinite and deterministic for a fixed seed.
 func NewServerTrace(params TraceParams) TraceReader { return trace.NewServerGenerator(params) }
+
+// Trace file I/O.
+
+// NewTraceWriter serialises records to the binary trace format; Close must
+// be called to flush. Set compress for gzip output.
+func NewTraceWriter(w io.Writer, compress bool) (*trace.Writer, error) {
+	return trace.NewWriter(w, compress)
+}
+
+// NewTraceFileReader decodes a trace file written by NewTraceWriter,
+// transparently handling gzip.
+func NewTraceFileReader(r io.Reader) (TraceReader, error) {
+	return trace.NewFileReader(r)
+}
+
+// LimitTrace caps a trace at n records (it then reports io.EOF).
+func LimitTrace(r TraceReader, n uint64) TraceReader { return trace.Limit(r, n) }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"morrigan"
+	"morrigan/internal/experiments"
 )
 
 func TestPublicAPIEndToEnd(t *testing.T) {
@@ -132,11 +133,11 @@ func TestPublicLimitTrace(t *testing.T) {
 }
 
 func TestPublicExperiments(t *testing.T) {
-	ids := morrigan.ExperimentIDs()
+	ids := experiments.Order
 	if len(ids) < 15 {
 		t.Fatalf("only %d experiments", len(ids))
 	}
-	tab, err := morrigan.RunExperiment("table1", morrigan.QuickExperimentOptions())
+	tab, err := experiments.Run("table1", experiments.QuickOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,7 @@ func TestPublicExperiments(t *testing.T) {
 	if sb.Len() == 0 {
 		t.Fatal("empty render")
 	}
-	if _, err := morrigan.RunExperiment("nope", morrigan.QuickExperimentOptions()); err == nil {
+	if _, err := experiments.Run("nope", experiments.QuickOptions()); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 }
