@@ -62,7 +62,6 @@ func main() {
 		confIn    = flag.String("config", "", "load the machine spec from this JSON file (overrides the machine flags)")
 		confOut   = flag.String("dump-config", "", "write the machine spec as JSON to this file ('-' for stdout) and exit")
 		list      = flag.Bool("list", false, "list built-in workloads and exit")
-		refLoop   = flag.Bool("reference-loop", false, "run the per-record reference loop instead of the batched pipeline (verification; Stats are bit-identical, only throughput differs)")
 		cf        cli.Flags
 	)
 	cf.Register(flag.CommandLine)
@@ -132,14 +131,6 @@ func main() {
 	}
 
 	cjobs := buildJobs(*workload, *traceFile, *smt, spec, *warmup, *measure)
-	if *refLoop {
-		// Instrumented jobs opt out of keyed reuse (store/cache), so a
-		// reference-loop run always simulates — exactly what the CI
-		// equivalence gate wants.
-		for i := range cjobs {
-			cjobs[i].Instrument = func(cfg *sim.Config) { cfg.ReferenceLoop = true }
-		}
-	}
 	pol, err := cf.Policy(*measure)
 	if err != nil {
 		fatal("%v", err)

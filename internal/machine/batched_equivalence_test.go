@@ -6,13 +6,16 @@ import (
 
 	"morrigan/internal/arch"
 	"morrigan/internal/core"
+	"morrigan/internal/icache"
 	"morrigan/internal/sim"
+	"morrigan/internal/tlbprefetch"
+	"morrigan/internal/trace"
 	"morrigan/internal/workloads"
 )
 
 // batchedKindMatrix enumerates every prefetcher, I-cache prefetcher and
-// page-table kind a Spec can name. The batched-pipeline equivalence suite
-// runs the full cross product.
+// page-table kind a Spec can name. The equivalence suite runs the full cross
+// product.
 var (
 	batchedPFSpecs = []struct {
 		name string
@@ -38,26 +41,73 @@ var (
 	batchedPTKinds = []string{"radix-4", "radix-5", "hashed"}
 )
 
-// runBatchedPair builds the spec twice (fresh prefetcher instances each
-// time) and runs the same workload through the batched and the per-record
-// reference loops, returning both snapshots.
-func runBatchedPair(t *testing.T, s Spec, warmup, measure uint64) (batched, reference sim.Stats) {
+// ifacePrefetcher hides a spec-built iSTLB prefetcher's concrete type so the
+// simulator cannot devirtualize it, forwarding the optional ResetStats and
+// IRIPHits/SDPHits methods the interface path probes for.
+type ifacePrefetcher struct{ tlbprefetch.Prefetcher }
+
+func (w ifacePrefetcher) ResetStats() {
+	if m, ok := w.Prefetcher.(interface{ ResetStats() }); ok {
+		m.ResetStats()
+	}
+}
+
+func (w ifacePrefetcher) IRIPHits() uint64 {
+	if m, ok := w.Prefetcher.(interface{ IRIPHits() uint64 }); ok {
+		return m.IRIPHits()
+	}
+	return 0
+}
+
+func (w ifacePrefetcher) SDPHits() uint64 {
+	if m, ok := w.Prefetcher.(interface{ SDPHits() uint64 }); ok {
+		return m.SDPHits()
+	}
+	return 0
+}
+
+// ifaceICache hides a spec-built I-cache prefetcher's concrete type.
+type ifaceICache struct{ icache.Prefetcher }
+
+// onePerFill hides a reader's bulk interface so every record reaches the run
+// loop through its own Next call.
+type onePerFill struct{ r trace.Reader }
+
+func (p onePerFill) Next(rec *trace.Record) error { return p.r.Next(rec) }
+
+// runSpecPair builds the spec twice (fresh prefetcher instances each time)
+// and runs the same threads twice: as built, where every prefetcher a Spec
+// can name must devirtualize, and as the reference — prefetchers wrapped for
+// interface dispatch, records supplied one Next call at a time. The
+// simulator package checks the run loop itself against a per-record test
+// reference; this pins the spec-built parameterizations.
+func runSpecPair(t *testing.T, s Spec, threads func() []sim.ThreadSpec, warmup, measure uint64) (production, reference sim.Stats) {
 	t.Helper()
 	run := func(ref bool) sim.Stats {
 		cfg, err := s.Build()
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.ReferenceLoop = ref
-		m, err := sim.New(cfg, []sim.ThreadSpec{{Reader: workloads.QMM()[3].NewReader()}})
+		ts := threads()
+		if ref {
+			if cfg.Prefetcher == nil {
+				cfg.Prefetcher = tlbprefetch.None{}
+			}
+			if cfg.ICachePrefetcher == nil {
+				cfg.ICachePrefetcher = icache.NextLine{}
+			}
+			cfg.Prefetcher = ifacePrefetcher{cfg.Prefetcher}
+			cfg.ICachePrefetcher = ifaceICache{cfg.ICachePrefetcher}
+			for i := range ts {
+				ts[i].Reader = onePerFill{ts[i].Reader}
+			}
+		}
+		m, err := sim.New(cfg, ts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !ref {
-			pfOK, icOK := m.Devirtualized()
-			if !pfOK || !icOK {
-				t.Fatalf("spec-built simulator not devirtualized: pf=%v icache=%v", pfOK, icOK)
-			}
+		if pfOK, icOK := m.Devirtualized(); pfOK == ref || icOK == ref {
+			t.Fatalf("reference=%v simulator: devirtualized pf=%v icache=%v", ref, pfOK, icOK)
 		}
 		st, err := m.Run(warmup, measure)
 		if err != nil {
@@ -68,10 +118,25 @@ func runBatchedPair(t *testing.T, s Spec, warmup, measure uint64) (batched, refe
 	return run(false), run(true)
 }
 
-// TestBatchedEquivalenceAcrossKinds asserts the tentpole invariant: for
-// every prefetcher × I-cache prefetcher × page-table kind a machine.Spec can
-// describe, the batched run loop produces Stats bit-identical to the
-// per-record reference loop, with the prefetcher call sites devirtualized.
+// qmmThreads returns a function that makes n threads running consecutive QMM
+// workloads from index first, each in its own 2^40-byte address window.
+func qmmThreads(first, n int) func() []sim.ThreadSpec {
+	return func() []sim.ThreadSpec {
+		var ts []sim.ThreadSpec
+		for i := 0; i < n; i++ {
+			ts = append(ts, sim.ThreadSpec{
+				Reader:   workloads.QMM()[first+i].NewReader(),
+				VAOffset: arch.VAddr(i) << 40,
+			})
+		}
+		return ts
+	}
+}
+
+// TestBatchedEquivalenceAcrossKinds asserts that for every prefetcher ×
+// I-cache prefetcher × page-table kind a machine.Spec can describe, the
+// production simulator devirtualizes both prefetcher call sites and produces
+// Stats bit-identical to the interface-dispatched reference.
 // Page-crossing I-cache translation cost is enabled so the TokenICache PB
 // path is exercised too.
 func TestBatchedEquivalenceAcrossKinds(t *testing.T) {
@@ -85,9 +150,9 @@ func TestBatchedEquivalenceAcrossKinds(t *testing.T) {
 					s.ICachePrefetcher = ic.spec()
 					s.PageTable = pt
 					s.ICacheTLBCost = ic.name != "next-line"
-					batched, reference := runBatchedPair(t, s, 2_000, 10_000)
-					if batched != reference {
-						t.Fatalf("batched loop diverged from reference:\nbatched:   %+v\nreference: %+v", batched, reference)
+					production, reference := runSpecPair(t, s, qmmThreads(3, 1), 2_000, 10_000)
+					if production != reference {
+						t.Fatalf("production diverged from reference:\nproduction: %+v\nreference:  %+v", production, reference)
 					}
 				})
 			}
@@ -97,7 +162,7 @@ func TestBatchedEquivalenceAcrossKinds(t *testing.T) {
 
 // TestBatchedEquivalenceStressShapes covers the run-loop shapes the kind
 // matrix holds fixed: SMT colocation, context switches, correcting walks,
-// huge data pages and prefetch-into-STLB, each against the reference loop.
+// huge data pages and prefetch-into-STLB, each against the reference.
 func TestBatchedEquivalenceStressShapes(t *testing.T) {
 	shapes := []struct {
 		name    string
@@ -136,32 +201,9 @@ func TestBatchedEquivalenceStressShapes(t *testing.T) {
 	}
 	for _, sh := range shapes {
 		t.Run(sh.name, func(t *testing.T) {
-			run := func(ref bool) sim.Stats {
-				cfg, err := sh.spec().Build()
-				if err != nil {
-					t.Fatal(err)
-				}
-				cfg.ReferenceLoop = ref
-				var threads []sim.ThreadSpec
-				for i := 0; i < sh.threads; i++ {
-					threads = append(threads, sim.ThreadSpec{
-						Reader:   workloads.QMM()[i+1].NewReader(),
-						VAOffset: arch.VAddr(i) << 40,
-					})
-				}
-				m, err := sim.New(cfg, threads)
-				if err != nil {
-					t.Fatal(err)
-				}
-				st, err := m.Run(3_000, 15_000)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return st
-			}
-			batched, reference := run(false), run(true)
-			if batched != reference {
-				t.Fatalf("batched loop diverged from reference:\nbatched:   %+v\nreference: %+v", batched, reference)
+			production, reference := runSpecPair(t, sh.spec(), qmmThreads(1, sh.threads), 3_000, 15_000)
+			if production != reference {
+				t.Fatalf("production diverged from reference:\nproduction: %+v\nreference:  %+v", production, reference)
 			}
 		})
 	}

@@ -303,11 +303,10 @@ func (w *Walker) ResetStats() {
 	w.droppedWalks, w.accessedMarked, w.correctingWalks = 0, 0, 0
 }
 
-// Settle frees every MSHR slot. Sampled execution calls it when the
-// simulation clock rebases between timed slices: busy-until timestamps from
-// the previous slice's clock epoch would read as far-future under the new
-// epoch, queueing demand walks behind phantom occupancy and dropping every
-// prefetch walk.
+// Settle frees every MSHR slot. The simulator calls it when its clock
+// rebases at a stats reset: busy-until timestamps from the previous clock
+// epoch would read as far-future under the new one, queueing demand walks
+// behind phantom occupancy and dropping every prefetch walk.
 func (w *Walker) Settle() {
 	for i := range w.busy {
 		w.busy[i] = 0

@@ -14,8 +14,9 @@ import (
 )
 
 // updateGolden regenerates testdata/golden_stats.json from the current
-// simulator. The committed file was captured before sampling existed, so a
-// passing TestFullRunStatsGolden proves full (non-sampled) runs still produce
+// simulator. The committed file was last regenerated when full runs began
+// settling in-flight timing at the warmup/measure boundary, so a passing
+// TestFullRunStatsGolden proves full (non-sampled) runs still produce
 // bit-identical Stats.
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden files")
 
@@ -36,11 +37,10 @@ func goldenJob(t *testing.T) Job {
 	}
 }
 
-// goldenJobKey is goldenJob's canonical key as derived before the sampling
-// subsystem landed. Job.Key for full (non-sampled) jobs must never drift:
-// every persisted journal, result store and fabric campaign identifies
-// results by it.
-const goldenJobKey = "1700cc429492e6e54d072a516759a0c971e8763077ba39e3e3c6b4020aafb5b7"
+// goldenJobKey is goldenJob's canonical key. Job.Key for full (non-sampled)
+// jobs must never drift except by a deliberate jobKeyVersion bump: every
+// persisted result store and fabric campaign identifies results by it.
+const goldenJobKey = "42107162765a99f233c19e5de810ec000633fa12007167036aac009174f004d6"
 
 func TestJobKeyGolden(t *testing.T) {
 	key, keyed := goldenJob(t).Key()
@@ -49,13 +49,13 @@ func TestJobKeyGolden(t *testing.T) {
 	}
 	if key != goldenJobKey {
 		t.Errorf("canonical job key drifted:\n got  %s\n want %s\n"+
-			"full-run keys must be bit-identical across releases (persisted journals and stores depend on it)",
+			"full-run keys change only with jobKeyVersion (persisted result stores depend on them)",
 			key, goldenJobKey)
 	}
 }
 
 // TestFullRunStatsGolden locks the full (non-sampled) execution path to the
-// pre-sampling Stats, bit for bit.
+// golden Stats, bit for bit.
 func TestFullRunStatsGolden(t *testing.T) {
 	path := filepath.Join("testdata", "golden_stats.json")
 	results, err := Run(context.Background(), []Job{goldenJob(t)}, Options{Workers: 1})
@@ -88,6 +88,6 @@ func TestFullRunStatsGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got != want {
-		t.Errorf("full-run Stats drifted from the pre-sampling golden:\n got  %+v\n want %+v", got, want)
+		t.Errorf("full-run Stats drifted from the golden:\n got  %+v\n want %+v", got, want)
 	}
 }

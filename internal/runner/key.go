@@ -11,14 +11,16 @@ import (
 )
 
 // jobKeyVersion is folded into every job key so a deliberate change to the
-// key derivation (or to either underlying spec hash version) invalidates
-// persisted result stores instead of silently matching stale results.
-const jobKeyVersion = "morrigan/runner.JobKey/v1"
+// key derivation (or to either underlying spec hash version), or a simulator
+// fix that changes the Stats a key maps to, invalidates persisted result
+// stores instead of silently matching stale results. v2: full runs settle
+// in-flight timing at the warmup/measure boundary, so every v1 full-run
+// result carries phantom stalls.
+const jobKeyVersion = "morrigan/runner.JobKey/v2"
 
 // samplingKeyTag separates the sampled-key domain. It is appended — together
-// with the policy fields — only for sampled jobs, so every full-run key is
-// byte-identical to what pre-sampling releases derived: persisted result
-// stores and fabric campaigns keep matching.
+// with the policy fields — only for sampled jobs, so the sampling subsystem
+// left every full-run key unchanged.
 const samplingKeyTag = "sampled"
 
 // Key returns the job's canonical identity: the SHA-256 (as lowercase hex)

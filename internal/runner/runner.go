@@ -228,7 +228,7 @@ type Options struct {
 	Profiles *sampling.ProfileStore
 	// Spans, when non-nil, records a distributed-tracing span for every job
 	// lifecycle phase — reuse lookups, cache waits, machine build, corpus
-	// ingest, sampled fast-forward/settle, timed simulation, persistence —
+	// ingest, sampled fast-forward/slice warmup, timed simulation, persistence —
 	// under a trace id derived from the job's canonical key (internal/spans).
 	// Like every observer layer, it is provably inert: nil costs one nil
 	// check per phase, and results are bit-identical either way (asserted by

@@ -32,7 +32,7 @@ type Outcome struct {
 }
 
 // SpanHook observes sampled-execution phases for distributed tracing: it is
-// called at the start of each phase — "fastforward", "settle", "slicewarmup",
+// called at the start of each phase — "fastforward", "slicewarmup",
 // "measure" — and returns a func ending that phase. A nil hook is ignored, so
 // the untraced path pays one nil check per phase and nothing else; the hook
 // must not perturb execution (asserted by the runner's trace-purity test).
@@ -84,28 +84,18 @@ func ExecuteTraced(ctx context.Context, s *sim.Simulator, warmup uint64, plan *P
 				return sim.Stats{}, nil, err
 			}
 		}
-		// Every RunContext call rebases the core clock; in-flight activity
-		// carrying absolute timestamps from an earlier clock epoch completed
-		// long ago in simulated time and must settle, or it would charge
-		// phantom stalls. Settle once before the timed slice warmup (previous
-		// slice's epoch) and again at the warmup/measure boundary (the slice
-		// warmup's own epoch) by running warmup and measurement as separate
-		// clock epochs.
-		end := phase(hook, "settle")
-		s.SettleTiming()
-		end()
+		// Each RunContext call rebases the simulation clock and settles
+		// in-flight timing at its stats reset, so the slice warmup and the
+		// measurement are separate clock epochs.
 		if start > ffTarget {
-			end = phase(hook, "slicewarmup")
+			end := phase(hook, "slicewarmup")
 			_, err := s.RunContext(ctx, 0, start-ffTarget)
 			end()
 			if err != nil {
 				return sim.Stats{}, nil, err
 			}
-			end = phase(hook, "settle")
-			s.SettleTiming()
-			end()
 		}
-		end = phase(hook, "measure")
+		end := phase(hook, "measure")
 		st, err := s.RunContext(ctx, 0, plan.Interval)
 		end()
 		if err != nil {

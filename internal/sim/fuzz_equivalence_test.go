@@ -6,7 +6,6 @@ import (
 	"morrigan/internal/core"
 	"morrigan/internal/icache"
 	"morrigan/internal/tlbprefetch"
-	"morrigan/internal/workloads"
 )
 
 // fuzzPrefetcher constructs a fresh iSTLB prefetcher for kind index k.
@@ -42,11 +41,12 @@ func fuzzICache(k uint8) icache.Prefetcher {
 }
 
 // FuzzBatchedLoopEquivalence drives randomly shaped workloads and machine
-// configurations through the batched and per-record reference run loops and
-// requires bit-identical Stats. The seed corpus covers every prefetcher,
-// I-cache prefetcher and page-table kind, SMT, context switches and the
+// configurations through the production run loop and the per-record,
+// interface-dispatched test reference (reference_test.go) and requires
+// bit-identical Stats. The seed corpus covers every prefetcher, I-cache
+// prefetcher and page-table kind, SMT, context switches and the
 // page-crossing I-cache translation path, so a plain `go test` run already
-// sweeps the batched pipeline's interesting shapes.
+// sweeps the production pipeline's interesting shapes.
 func FuzzBatchedLoopEquivalence(f *testing.F) {
 	f.Add(uint8(0), uint8(0), uint8(0), uint8(0), uint16(8_000), false, uint32(0))
 	f.Add(uint8(1), uint8(1), uint8(1), uint8(2), uint16(12_000), true, uint32(0))
@@ -61,32 +61,19 @@ func FuzzBatchedLoopEquivalence(f *testing.F) {
 		if n < 1_000 {
 			n = 1_000
 		}
-		qmm := workloads.QMM()
-		run := func(ref bool) Stats {
+		mk := func() Config {
 			cfg := DefaultConfig()
 			cfg.Prefetcher = fuzzPrefetcher(pfK)
 			cfg.ICachePrefetcher = fuzzICache(icK)
 			cfg.ICacheTLBCost = icK%4 != 0
 			cfg.PageTable = PageTableKind(ptK % 3)
 			cfg.ContextSwitchInterval = uint64(ctxSwitch)
-			cfg.ReferenceLoop = ref
-			threads := []ThreadSpec{{Reader: qmm[int(wlK)%len(qmm)].NewReader()}}
-			if smt {
-				threads = append(threads, ThreadSpec{
-					Reader:   qmm[(int(wlK)+1)%len(qmm)].NewReader(),
-					VAOffset: 1 << 40,
-				})
-			}
-			s := mustNew(t, cfg, threads)
-			st, err := s.Run(n/4, n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return st
+			return cfg
 		}
-		batched, reference := run(false), run(true)
-		if batched != reference {
-			t.Fatalf("batched loop diverged from reference:\nbatched:   %+v\nreference: %+v", batched, reference)
+		threads := 1
+		if smt {
+			threads = 2
 		}
+		requireMatchesReference(t, mk, qmmThreads(int(wlK), threads), n/4, n)
 	})
 }

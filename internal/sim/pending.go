@@ -12,7 +12,9 @@ import "morrigan/internal/arch"
 // Retiring a completed entry early cannot change simulation results: a
 // demand fetch hitting an entry whose ready time has passed waits zero
 // cycles and removes it, which is indistinguishable from the entry being
-// absent.
+// absent (TestPendingTableMatchesMap). That holds because every entry shares
+// the current clock epoch: the stats reset that rebases the clock drops the
+// whole table (TestResetStatsSettlesInFlightTiming).
 type pendingTable struct {
 	keys   []uint64 // line+1 so a zero slot means empty
 	readys []arch.Cycle

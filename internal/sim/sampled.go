@@ -3,7 +3,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"morrigan/internal/arch"
 	"morrigan/internal/cache"
@@ -30,44 +29,17 @@ import (
 // architecturally-tagged state exactly as timed execution would), clocked by
 // retired-plus-fast-forwarded instructions.
 func (s *Simulator) FastForward(ctx context.Context, n uint64) error {
-	var rec trace.Record
-	done := uint64(0)
-	nextCheck := uint64(cancelCheckInterval)
-	ti := 0
-	for done < n {
-		if done >= nextCheck {
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("sim: fast-forward interrupted: %w", err)
-			}
-			nextCheck += cancelCheckInterval
-		}
-		th := s.threads[ti]
-		if th.done {
-			ti = (ti + 1) % len(s.threads)
-			if s.allDone() {
-				return fmt.Errorf("sim: trace ended %d instructions short of the fast-forward target %d", n-done, n)
-			}
-			continue
-		}
-		for b := 0; b < s.cfg.SMTBlock && done < n; b++ {
-			err := th.next(&rec)
-			if err == io.EOF {
-				th.done = true
-				break
-			}
-			if err != nil {
-				return fmt.Errorf("sim: reading trace during fast-forward: %w", err)
-			}
-			s.ffStep(arch.ThreadID(ti), th, &rec)
-			done++
-			s.fastForwarded++
-		}
-		ti = (ti + 1) % len(s.threads)
+	stepped, err := s.rotate(ctx, n, true)
+	if err == nil && stepped < n {
+		err = fmt.Errorf("sim: trace ended %d instructions short of the fast-forward target %d", n-stepped, n)
 	}
-	return nil
+	return err
 }
 
 // ffStep warms one instruction's translations and cache lines without timing.
+// It counts the instruction into fastForwarded itself — the functional
+// counterpart of step's core.Retire — because that count clocks the context
+// switches of the very next record.
 func (s *Simulator) ffStep(tid arch.ThreadID, th *thread, rec *trace.Record) {
 	if s.cfg.ContextSwitchInterval > 0 && s.core.Retired()+s.fastForwarded >= s.nextSwitch {
 		s.contextSwitch()
@@ -110,6 +82,7 @@ func (s *Simulator) ffStep(tid arch.ThreadID, th *thread, rec *trace.Record) {
 	if rec.Store != 0 {
 		s.ffData(tid, rec.Store+th.off, true)
 	}
+	s.fastForwarded++
 }
 
 // ffPrefetchLine applies one I-cache prefetch candidate functionally: the
@@ -171,16 +144,3 @@ func (s *Simulator) ffData(tid arch.ThreadID, va arch.VAddr, store bool) {
 // FastForwarded returns the total instructions consumed functionally by
 // FastForward since construction. Never reset.
 func (s *Simulator) FastForwarded() uint64 { return s.fastForwarded }
-
-// SettleTiming declares all in-flight timed activity complete: pending
-// instruction-line fills are dropped, prefetch-buffer ready times settle to
-// zero, and walker MSHRs are freed. Cache, TLB, PB and predictor contents
-// are untouched. Sampled execution calls this before each timed slice:
-// RunContext's stats reset rebases the core clock to zero, and absolute
-// ready/busy timestamps left by the previous slice's clock epoch would
-// otherwise read as far-future and charge phantom stalls.
-func (s *Simulator) SettleTiming() {
-	s.pending.reset()
-	s.pb.Settle()
-	s.walker.Settle()
-}

@@ -17,8 +17,8 @@ import (
 )
 
 // batchSize is the per-thread record buffer refilled from the trace reader:
-// one refill supplies this many instructions to the hot loop, which the
-// batched run path consumes as contiguous slices.
+// one refill supplies this many instructions to the run loop, which consumes
+// them as contiguous slices.
 const batchSize = 512
 
 // thread is the per-hardware-thread front-end state.
@@ -29,9 +29,8 @@ type thread struct {
 	// buf[bpos:blen] holds fetched-ahead records; every reader is consumed
 	// through it (trace.Fill uses the reader's bulk interface when it has
 	// one). The consumed record sequence is identical to calling reader.Next
-	// per instruction, so batched and reference runs produce bit-identical
-	// stats. pendingErr defers a mid-fill error from a plain reader until
-	// its preceding records have been consumed.
+	// per instruction. pendingErr defers a mid-fill error from a plain
+	// reader until its preceding records have been consumed.
 	buf        []trace.Record
 	bpos       int
 	blen       int
@@ -61,18 +60,6 @@ func (th *thread) refill() error {
 	}
 	th.blen, th.bpos = n, 0
 	th.pendingErr = err
-	return nil
-}
-
-// next fetches the thread's next record through the batch buffer.
-func (th *thread) next(rec *trace.Record) error {
-	if th.bpos >= th.blen {
-		if err := th.refill(); err != nil {
-			return err
-		}
-	}
-	*rec = th.buf[th.bpos]
-	th.bpos++
 	return nil
 }
 
@@ -284,28 +271,28 @@ func (s *Simulator) RunContext(ctx context.Context, warmup, measure uint64) (Sta
 	return s.Snapshot(), nil
 }
 
-// run executes n instructions, interleaving threads in SMTBlock-sized
-// groups. It stops early (without error) when every thread's trace ends.
-// The batched path is the default; Config.ReferenceLoop selects the
-// per-record reference loop the equivalence suite compares it against.
+// run executes n timed instructions. It stops early (without error) when
+// every thread's trace ends.
 func (s *Simulator) run(ctx context.Context, n uint64) error {
-	if s.cfg.ReferenceLoop {
-		return s.runReference(ctx, n)
-	}
-	return s.runBatched(ctx, n)
+	stepped, err := s.rotate(ctx, n, false)
+	s.executed += stepped
+	return err
 }
 
-// runReference is the per-record reference implementation of the run loop:
-// one th.next call and one step per instruction.
-func (s *Simulator) runReference(ctx context.Context, n uint64) error {
-	var rec trace.Record
-	executed := uint64(0)
+// rotate is the simulator's one run loop: it steps up to n instructions,
+// interleaving threads in SMTBlock-sized groups and consuming each thread's
+// record buffer as contiguous slices, and returns how many it stepped —
+// fewer than n only when every thread's trace ended or on error. Timed runs
+// step each record through step; fast-forward (functional) runs through
+// ffStep, so both modes see the identical record order and SMT rotation.
+func (s *Simulator) rotate(ctx context.Context, n uint64, functional bool) (uint64, error) {
+	stepped := uint64(0)
 	nextCheck := uint64(cancelCheckInterval)
 	ti := 0
-	for executed < n {
-		if executed >= nextCheck {
+	for stepped < n {
+		if stepped >= nextCheck {
 			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("sim: run interrupted: %w", err)
+				return stepped, fmt.Errorf("sim: run interrupted: %w", err)
 			}
 			nextCheck += cancelCheckInterval
 		}
@@ -313,56 +300,12 @@ func (s *Simulator) runReference(ctx context.Context, n uint64) error {
 		if th.done {
 			ti = (ti + 1) % len(s.threads)
 			if s.allDone() {
-				return nil
-			}
-			continue
-		}
-		for b := 0; b < s.cfg.SMTBlock && executed < n; b++ {
-			err := th.next(&rec)
-			if err == io.EOF {
-				th.done = true
-				break
-			}
-			if err != nil {
-				return fmt.Errorf("sim: reading trace: %w", err)
-			}
-			s.step(arch.ThreadID(ti), th, &rec)
-			executed++
-			s.executed++
-		}
-		ti = (ti + 1) % len(s.threads)
-	}
-	return nil
-}
-
-// runBatched is the production run loop: it consumes each thread's record
-// buffer as contiguous slices, stepping whole sub-blocks without the
-// per-instruction record copy and buffer bookkeeping of the reference loop.
-// Records are consumed in exactly the order runReference consumes them — the
-// same buffer, the same SMT rotation, the same end-of-trace handling — so
-// both paths produce bit-identical Stats (asserted by the equivalence
-// suite).
-func (s *Simulator) runBatched(ctx context.Context, n uint64) error {
-	executed := uint64(0)
-	nextCheck := uint64(cancelCheckInterval)
-	ti := 0
-	for executed < n {
-		if executed >= nextCheck {
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("sim: run interrupted: %w", err)
-			}
-			nextCheck += cancelCheckInterval
-		}
-		th := s.threads[ti]
-		if th.done {
-			ti = (ti + 1) % len(s.threads)
-			if s.allDone() {
-				return nil
+				return stepped, nil
 			}
 			continue
 		}
 		block := uint64(s.cfg.SMTBlock)
-		if left := n - executed; left < block {
+		if left := n - stepped; left < block {
 			block = left
 		}
 		for block > 0 {
@@ -373,7 +316,7 @@ func (s *Simulator) runBatched(ctx context.Context, n uint64) error {
 					break
 				}
 				if err != nil {
-					return fmt.Errorf("sim: reading trace: %w", err)
+					return stepped, fmt.Errorf("sim: reading trace: %w", err)
 				}
 			}
 			take := uint64(th.blen - th.bpos)
@@ -382,14 +325,20 @@ func (s *Simulator) runBatched(ctx context.Context, n uint64) error {
 			}
 			recs := th.buf[th.bpos : th.bpos+int(take)]
 			th.bpos += int(take)
-			s.stepBlock(arch.ThreadID(ti), th, recs)
-			executed += take
-			s.executed += take
+			tid := arch.ThreadID(ti)
+			if functional {
+				for i := range recs {
+					s.ffStep(tid, th, &recs[i])
+				}
+			} else {
+				s.stepBlock(tid, th, recs)
+			}
+			stepped += take
 			block -= take
 		}
 		ti = (ti + 1) % len(s.threads)
 	}
-	return nil
+	return stepped, nil
 }
 
 // stepBlock executes a contiguous slice of one thread's records.
@@ -731,7 +680,13 @@ func (s *Simulator) data(tid arch.ThreadID, va arch.VAddr, store bool) {
 }
 
 // resetStats clears every component's counters at the warmup/measure
-// boundary, keeping all microarchitectural state warm.
+// boundary, keeping all microarchitectural state warm. It is also the one
+// place the simulation clock rebases: the core restarts at cycle zero, so
+// every in-flight activity carrying an absolute timestamp from the previous
+// epoch — pending instruction-line fills, prefetch-buffer ready times,
+// walker MSHR occupancy — settles as complete here (it finished long before
+// the boundary in simulated time) instead of reading as far-future and
+// charging phantom stalls.
 func (s *Simulator) resetStats() {
 	s.core.ResetStats()
 	s.mem.ResetStats()
@@ -740,6 +695,9 @@ func (s *Simulator) resetStats() {
 	s.stlb.ResetStats()
 	s.pb.ResetStats()
 	s.walker.ResetStats()
+	s.pending.reset()
+	s.pb.Settle()
+	s.walker.Settle()
 	s.c = counters{}
 	// The retired-instruction clock restarts with the measurement interval.
 	s.nextSwitch = s.cfg.ContextSwitchInterval

@@ -1,11 +1,13 @@
 package sim
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"morrigan/internal/arch"
 	"morrigan/internal/core"
+	"morrigan/internal/cpu"
 	"morrigan/internal/icache"
 	"morrigan/internal/tlbprefetch"
 	"morrigan/internal/trace"
@@ -446,6 +448,67 @@ func TestWarmupResetsStats(t *testing.T) {
 	cst, _ := cold.Run(0, 100_000)
 	if st.ISTLBMisses >= cst.ISTLBMisses {
 		t.Fatalf("warmup did not reduce misses: %d vs %d", st.ISTLBMisses, cst.ISTLBMisses)
+	}
+}
+
+// TestResetStatsSettlesInFlightTiming pins the clock-epoch contract of the
+// warmup/measure boundary: a pending I-line fill, a prefetch-buffer entry and
+// busy walker MSHRs that all completed before the boundary must cost nothing
+// after it, even though the core clock restarts at zero there.
+func TestResetStatsSettlesInFlightTiming(t *testing.T) {
+	s := mustNew(t, DefaultConfig(), []ThreadSpec{{Reader: testWorkload()}})
+	if err := s.run(context.Background(), 20_000); err != nil {
+		t.Fatal(err)
+	}
+	const tid = 0
+	th := s.threads[tid]
+	at := s.now()
+
+	// An I-line fill in flight: the line is already installed in L1I (a
+	// prefetch fill), with the fill completing at at+500.
+	const fetchVPN, pbVPN, walkVPN = arch.VPN(0x7f000), arch.VPN(0x7f100), arch.VPN(0x7f200)
+	fetchPFN := s.pt.EnsureMapped(fetchVPN)
+	s.itlb.Insert(tid, fetchVPN, fetchPFN)
+	pc := arch.VAddr(fetchVPN) << arch.PageShift
+	paddr := arch.Translate(fetchPFN, pc)
+	s.mem.PrefetchInto(arch.LevelL1, paddr)
+	s.pending.insert(paddr.Line(), at+500, at)
+
+	// A prefetched translation whose walk completes at at+5000.
+	s.pb.Insert(tid, pbVPN, s.pt.EnsureMapped(pbVPN), tlbprefetch.PackToken(tlbprefetch.TokenSDP, pbVPN, 0), at+5000)
+
+	// Every walker MSHR busy with a prefetch walk issued at at.
+	for i := 0; i < s.cfg.Walker.MSHRs; i++ {
+		vpn := arch.VPN(0x7f300 + i)
+		s.pt.EnsureMapped(vpn)
+		if w := s.walker.Walk(tid, vpn, at, false); w.MemRefs == 0 {
+			t.Fatalf("setup prefetch walk %d dropped", i)
+		}
+	}
+	s.pt.EnsureMapped(walkVPN)
+
+	// All of it completes long before the warmup ends.
+	s.core.FrontEndStall(cpu.StallITLB, 1_000_000)
+	s.resetStats()
+
+	// The walker check leaves the core clock alone, and the PB entry is
+	// readied later than the fill, so a phantom stall in one check cannot
+	// mask another.
+	if w := s.walker.Walk(tid, walkVPN, s.now(), true); w.Queued != 0 {
+		t.Errorf("demand walk queued %d cycles behind MSHRs freed before the boundary", w.Queued)
+	}
+	before := s.core.Cycles()
+	th.haveVPN = false
+	s.fetch(tid, th, pc)
+	if waited := s.core.Cycles() - before; waited != 0 {
+		t.Errorf("fetch of a line whose fill completed before the boundary waited %d cycles", waited)
+	}
+	s.translateInstr(tid, arch.VAddr(pbVPN)<<arch.PageShift, pbVPN)
+	if s.c.pbHits != 1 {
+		t.Fatalf("PB hits = %d, want 1", s.c.pbHits)
+	}
+	if s.c.pbLateCycles != 0 {
+		t.Errorf("PB hit on a walk completed before the boundary waited %d late cycles", s.c.pbLateCycles)
 	}
 }
 

@@ -189,11 +189,11 @@ func (b *PrefetchBuffer) Evictions() uint64 { return b.useless }
 func (b *PrefetchBuffer) ResetStats() { b.lookups, b.hits, b.inserts, b.useless = 0, 0, 0, 0 }
 
 // Settle marks every resident entry's producing walk as complete (ready at
-// cycle zero), keeping contents intact. Sampled execution calls it when the
-// simulation clock rebases between timed slices: entries inserted under the
-// previous slice's clock epoch finished long ago in simulated time, but
-// their absolute ready timestamps would read as far-future under the new
-// epoch and charge phantom late-prefetch stalls.
+// cycle zero), keeping contents intact. The simulator calls it when its
+// clock rebases at a stats reset: entries inserted under the previous clock
+// epoch finished long ago in simulated time, but their absolute ready
+// timestamps would read as far-future under the new epoch and charge
+// phantom late-prefetch stalls.
 func (b *PrefetchBuffer) Settle() {
 	clear(b.readys)
 }
