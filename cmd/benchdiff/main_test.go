@@ -19,7 +19,6 @@ func writeCampaign(t *testing.T, path string, ipcs map[string]float64) {
 			Experiment: "fig15",
 			Config:     "Morrigan",
 			Workload:   wl,
-			ElapsedMS:  100,
 			Stats:      &sim.Stats{IPC: ipc},
 		})
 	}
@@ -65,6 +64,9 @@ func TestRunExitCodes(t *testing.T) {
 		{"malformed json", []string{oldPath, badPath}, 2, "benchdiff:"},
 		{"missing args", []string{oldPath}, 2, "usage:"},
 		{"bad flag", []string{"-threshold", "x", oldPath, samePath}, 2, ""},
+		// IPC is the only gate; simulator speed is the repo benchmark's.
+		{"no throughput gate", []string{"-min-throughput-ratio", "1", oldPath, samePath}, 2, "flag provided but not defined"},
+		{"no elapsed gate", []string{"-elapsed-threshold", "1", oldPath, samePath}, 2, "flag provided but not defined"},
 	}
 	for _, tc := range cases {
 		var stdout, stderr strings.Builder

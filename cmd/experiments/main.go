@@ -83,7 +83,7 @@ func main() {
 	// (machine, workload, scale) triples, so each distinct triple simulates
 	// exactly once and every later occurrence is served from the cache.
 	// Rendered tables are unaffected — cached stats are the original run's,
-	// bit for bit. The dedup count surfaces as reused_jobs in -bench output.
+	// bit for bit. Each cache-served job's record says "reused": "cache".
 	opt.Cache = runner.NewResultCache()
 
 	var w io.Writer = os.Stdout

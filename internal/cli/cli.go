@@ -3,7 +3,7 @@
 // commands take (Flags), and the one place that wires what those flags
 // select — it opens the corpus, result and profile stores, builds the
 // sampling policy, starts the -serve observability server and the -fabric
-// coordinator, and writes the -json, -csv, -bench and -trace-out outputs.
+// coordinator, and writes the -json, -csv and -trace-out outputs.
 // cmd/service takes the store flags (Stores) from here too.
 //
 // A command registers Flags, parses, calls Start, runs its campaign with
@@ -75,17 +75,17 @@ func (s *Stores) OpenResults(prog string) (*resultstore.Store, error) {
 // Flags are the campaign flags cmd/morrigansim and cmd/experiments share.
 type Flags struct {
 	Stores
-	Jobs                       int
-	Verbose, DryRun            bool
-	JSON, CSV, Bench, TraceOut string
-	Telemetry                  string
-	Serve, Fabric              string
-	LeaseTTL                   time.Duration
-	Sample                     bool
-	SampleInterval             uint64
-	SampleClusters             int
-	SampleWarmup               int64
-	CPUProfile, MemProfile     string
+	Jobs                   int
+	Verbose, DryRun        bool
+	JSON, CSV, TraceOut    string
+	Telemetry              string
+	Serve, Fabric          string
+	LeaseTTL               time.Duration
+	Sample                 bool
+	SampleInterval         uint64
+	SampleClusters         int
+	SampleWarmup           int64
+	CPUProfile, MemProfile string
 }
 
 // Register adds the shared campaign flags to fs.
@@ -96,7 +96,6 @@ func (f *Flags) Register(fs *flag.FlagSet) {
 	fs.BoolVar(&f.DryRun, "dry-run", false, "print enumerated jobs (key, machine and workload hashes, scale) without simulating")
 	fs.StringVar(&f.JSON, "json", "", "write per-simulation results as JSON to a file ('-' for stdout)")
 	fs.StringVar(&f.CSV, "csv", "", "write per-simulation results as CSV to a file ('-' for stdout)")
-	fs.StringVar(&f.Bench, "bench", "", "write a BENCH_*.json throughput summary, with its per-phase breakdown, to this file ('-' for stdout)")
 	fs.StringVar(&f.TraceOut, "trace-out", "", "write a distributed trace of every job's lifecycle phases to this file (.jsonl for JSONL, otherwise Chrome trace-event JSON for Perfetto)")
 	fs.StringVar(&f.Telemetry, "telemetry", "", "write per-simulation telemetry JSONL files into this directory")
 	fs.StringVar(&f.Serve, "serve", "", "serve live observability HTTP on this address (e.g. :8080): /metrics, /campaign, /events, /healthz, /debug/pprof")
@@ -143,7 +142,7 @@ type Campaign struct {
 	Observer  *obs.Server
 	Remote    *fabric.Coordinator
 	Telemetry *runner.TelemetryOptions
-	// Record collects every result written to -json, -csv and -bench.
+	// Record collects every result written to -json and -csv.
 	Record runner.Recorder
 
 	prog     string
@@ -180,8 +179,7 @@ func (f *Flags) Start(prog string, measure uint64) (*Campaign, error) {
 	if f.Telemetry != "" {
 		c.Telemetry = &runner.TelemetryOptions{Dir: f.Telemetry}
 	}
-	if f.TraceOut != "" || f.Bench != "" {
-		// -bench always records spans so its summary carries the phases.
+	if f.TraceOut != "" {
 		c.Spans = spans.NewRecorder("")
 	}
 	if f.Serve != "" {
@@ -287,24 +285,6 @@ func (c *Campaign) Finish(ctx context.Context) error {
 	}
 	if err := writeOut(c.flags.CSV, camp.WriteCSV); err != nil {
 		return err
-	}
-	if c.flags.Bench != "" {
-		b := runner.NewBench(camp)
-		b.Phases = spans.Breakdown(c.Spans.Spans())
-		if c.Corpus != nil {
-			cs := c.Corpus.CacheStats()
-			b.TraceSupply = &runner.TraceSupply{
-				CorpusDir:      c.Corpus.Dir(),
-				CacheGets:      cs.Gets,
-				CacheHits:      cs.Hits,
-				CacheDecodes:   cs.Decodes,
-				CacheEvictions: cs.Evictions,
-				ResidentBytes:  cs.ResidentBytes,
-			}
-		}
-		if err := writeOut(c.flags.Bench, b.WriteJSON); err != nil {
-			return err
-		}
 	}
 	if c.flags.TraceOut != "" {
 		if err := spans.WriteFile(c.flags.TraceOut, c.Spans.Spans()); err != nil {

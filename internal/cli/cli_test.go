@@ -11,15 +11,17 @@ import (
 	"morrigan/internal/experiments"
 	"morrigan/internal/machine"
 	"morrigan/internal/runner"
+	"morrigan/internal/spans"
 	"morrigan/internal/workloads"
 )
 
-// TestBenchCarriesPhases: -bench alone (no -trace-out) still records spans,
-// so the BENCH summary carries its per-phase breakdown; and the results the
-// campaign recorded reach -json.
+// TestBenchCarriesPhases: -trace-out alone records the campaign's spans,
+// and their per-phase breakdown (spans.Breakdown, the split the repo
+// benchmark reports) is non-empty; and the results the campaign recorded
+// reach -json.
 func TestBenchCarriesPhases(t *testing.T) {
 	dir := t.TempDir()
-	f := Flags{Jobs: 1, Bench: filepath.Join(dir, "bench.json"), JSON: filepath.Join(dir, "res.json")}
+	f := Flags{Jobs: 1, TraceOut: filepath.Join(dir, "trace.jsonl"), JSON: filepath.Join(dir, "res.json")}
 	c, err := f.Start("test", 20_000)
 	defer c.Close()
 	if err != nil {
@@ -37,15 +39,17 @@ func TestBenchCarriesPhases(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var bench struct {
-		Jobs   int `json:"jobs"`
-		Phases []struct {
-			Phase string `json:"phase"`
-		} `json:"phases"`
+	tf, err := os.Open(f.TraceOut)
+	if err != nil {
+		t.Fatal(err)
 	}
-	readJSON(t, f.Bench, &bench)
-	if bench.Jobs != 1 || len(bench.Phases) == 0 {
-		t.Fatalf("bench = %+v, want 1 job and a phase breakdown", bench)
+	defer tf.Close()
+	ss, err := spans.ReadJSONL(tf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ss) == 0 || len(spans.Breakdown(ss)) == 0 {
+		t.Fatalf("-trace-out holds %d spans, want a non-empty phase breakdown", len(ss))
 	}
 	var camp runner.Campaign
 	readJSON(t, f.JSON, &camp)
@@ -66,7 +70,7 @@ func TestUnselectedLayersStayNil(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := c.Options(25_000)
-	if opt.Store != nil || opt.Observer != nil || opt.Remote != nil || opt.NewReader != nil {
+	if opt.Store != nil || opt.Observer != nil || opt.Remote != nil || opt.NewReader != nil || opt.Spans != nil {
 		t.Errorf("runner options carry unselected layers: %+v", opt)
 	}
 	var eo experiments.Options

@@ -83,6 +83,7 @@ type Server struct {
 
 	totalJobs   int // scheduled across all campaigns so far
 	doneJobs    int
+	ranJobs     int // finished jobs that simulated (Reused == "")
 	failedJobs  int
 	doneInstr   uint64  // executed instructions of finished jobs
 	doneElapsed float64 // summed wall seconds of finished jobs
@@ -215,6 +216,9 @@ func (s *Server) JobFinished(index int, res runner.Result) {
 	delete(s.active, index)
 	delete(s.flagged, index)
 	s.doneJobs++
+	if res.Reused == "" {
+		s.ranJobs++
+	}
 	if res.Err != nil {
 		s.failedJobs++
 	}
@@ -238,15 +242,18 @@ func (s *Server) JobFinished(index int, res runner.Result) {
 	s.hub.publish(event{Type: "job", Data: jobEvent{Job: f.Name, Index: index, State: state}})
 }
 
-// eta estimates remaining campaign seconds from the observed completion rate;
-// zero until one job has finished or when nothing remains. Callers hold s.mu.
+// eta estimates remaining campaign seconds from the observed completion rate
+// of jobs that simulated; zero until one has finished or when nothing
+// remains. Store and cache hits finish instantly, so counting them would
+// collapse the estimate on a warm store whose remaining jobs still run in
+// full (runner's progress ETA makes the same cut). Callers hold s.mu.
 func (s *Server) eta(now time.Time) float64 {
 	rem := s.totalJobs - s.doneJobs
-	if s.doneJobs == 0 || rem <= 0 {
+	if s.ranJobs == 0 || rem <= 0 {
 		return 0
 	}
 	elapsed := now.Sub(s.started).Seconds()
-	return elapsed / float64(s.doneJobs) * float64(rem)
+	return elapsed / float64(s.ranJobs) * float64(rem)
 }
 
 // liveJob is one active job's scrape view.

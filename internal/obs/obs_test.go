@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"morrigan/internal/core"
 	"morrigan/internal/machine"
@@ -240,6 +241,45 @@ func TestCampaignStatus(t *testing.T) {
 		if !r.OK || r.InstrPerSec <= 0 {
 			t.Errorf("recent job %s: ok=%v instr_per_sec=%v", r.Name, r.OK, r.InstrPerSec)
 		}
+	}
+}
+
+// TestETAIgnoresReusedJobs: store and cache hits finish instantly, so the
+// campaign ETA must divide elapsed time by the jobs that simulated only. A
+// campaign 10s in with two reused jobs, one simulated job and one job left
+// has ~10s to go, not the ~3.3s a count of every finished job would give.
+func TestETAIgnoresReusedJobs(t *testing.T) {
+	srv := New()
+	srv.started = time.Now().Add(-10 * time.Second)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	srv.CampaignStarted(4)
+	srv.JobFinished(0, runner.Result{Reused: runner.ReusedStore})
+	srv.JobFinished(1, runner.Result{Reused: runner.ReusedCache})
+	var st struct {
+		ETASeconds float64 `json:"eta_seconds"`
+	}
+	if err := json.Unmarshal(get(t, ts, "/campaign"), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.ETASeconds != 0 {
+		t.Errorf("eta after reused jobs only = %.2fs, want 0 (no simulated rate yet)", st.ETASeconds)
+	}
+
+	srv.JobFinished(2, runner.Result{Elapsed: 10 * time.Second, SimInstructions: 1_000})
+	if err := json.Unmarshal(get(t, ts, "/campaign"), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.ETASeconds < 9.5 || st.ETASeconds > 12 {
+		t.Errorf("/campaign eta_seconds = %.2f, want ~10 (1 remaining job at 1 simulated job per 10s)", st.ETASeconds)
+	}
+	vals, err := ParseExposition(strings.NewReader(string(get(t, ts, "/metrics"))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := vals["morrigan_campaign_eta_seconds"]; got < 9.5 || got > 12 {
+		t.Errorf("morrigan_campaign_eta_seconds = %.2f, want ~10", got)
 	}
 }
 

@@ -13,8 +13,8 @@ import (
 )
 
 // SchemaVersion identifies the campaign result schema. It is bumped whenever
-// the JSON/CSV shape changes incompatibly, so trajectory-tracking consumers
-// (e.g. BENCH_*.json) can detect mismatches instead of misreading fields.
+// the JSON/CSV shape changes incompatibly, so consumers (e.g. cmd/benchdiff)
+// can detect mismatches instead of misreading fields.
 //
 // v2 added sampled-execution results: Record.Sampling in JSON and the
 // trailing ci95_* columns in CSV (empty for full runs). Consumers that read
@@ -35,7 +35,7 @@ type Record struct {
 	// SimInstructions is the total instructions executed, warmup included.
 	SimInstructions uint64 `json:"sim_instructions"`
 	// InstrPerSec is the job's simulation throughput (simulated instructions
-	// per wall-clock second) — the machine-comparable perf figure.
+	// per wall-clock second); host-dependent, so compare it on one machine.
 	InstrPerSec float64 `json:"instr_per_sec"`
 	// PeakHeapBytes is the process heap high-water mark observed around the
 	// job (shared across concurrent jobs; see runner.Result).

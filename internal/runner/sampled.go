@@ -39,8 +39,8 @@ func executeSampled(ctx context.Context, sp **sim.Simulator, cfg sim.Config, j J
 	}
 
 	profSpan := opt.Spans.Start(traceID, "sample.profile")
-	prof, err := opt.Profiles.Profile(w.Hash(), j.Warmup, j.Measure, pol.Interval, newReader)
-	profSpan.End()
+	prof, how, err := opt.Profiles.Profile(w.Hash(), j.Warmup, j.Measure, pol.Interval, newReader)
+	profSpan.Attr("reuse", string(how)).End()
 	if err != nil {
 		return sim.Stats{}, nil, err
 	}

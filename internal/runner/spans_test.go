@@ -2,9 +2,7 @@ package runner
 
 import (
 	"context"
-	"encoding/json"
 	"reflect"
-	"strings"
 	"testing"
 
 	"morrigan/internal/sampling"
@@ -90,51 +88,65 @@ func TestTraceSpansCoverLifecycle(t *testing.T) {
 	}
 }
 
-// TestTraceSampledJob checks sampled executions carry the sample.* phase spans
-// and the execute span reports the sampled slice count.
+// TestTraceSampledJob checks sampled executions carry the sample.* phase
+// spans, the execute span reports the sampled slice count, and each
+// sample.profile span says how its profile was served: two machines on one
+// workload build it once and then reuse it from memory, and a rerun on the
+// same on-disk profile store loads it from disk.
 func TestTraceSampledJob(t *testing.T) {
-	jobs := testJobs(1)
-	jobs[0].Measure = 200_000
-	jobs[0].Sampling = &sampling.Policy{Interval: 50_000, Clusters: 2, SliceWarmup: 10_000, Seed: 1}
-	rec := spans.NewRecorder("")
-	if _, err := Run(context.Background(), jobs, Options{Workers: 1, Spans: rec}); err != nil {
-		t.Fatal(err)
+	jobs := testJobs(2) // cfg0 and cfg1: two machines
+	jobs[1].Workload, jobs[1].Workloads = jobs[0].Workload, jobs[0].Workloads
+	for i := range jobs {
+		jobs[i].Measure = 200_000
+		jobs[i].Sampling = &sampling.Policy{Interval: 50_000, Clusters: 2, SliceWarmup: 10_000, Seed: 1}
+	}
+	dir := t.TempDir()
+	run := func() *spans.Recorder {
+		t.Helper()
+		profiles, err := sampling.OpenProfileStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := spans.NewRecorder("")
+		if _, err := Run(context.Background(), jobs, Options{Workers: 1, Spans: rec, Profiles: profiles}); err != nil {
+			t.Fatal(err)
+		}
+		return rec
+	}
+	reuse := func(rec *spans.Recorder) []string {
+		var out []string
+		for _, sp := range rec.Spans() {
+			if sp.Name == "sample.profile" {
+				out = append(out, sp.Attrs["reuse"])
+			}
+		}
+		return out
 	}
 
-	var sawExec, sawMeasure bool
+	rec := run()
+	var execs, measures int
 	for _, sp := range rec.Spans() {
-		switch {
-		case sp.Name == "execute":
-			sawExec = true
+		switch sp.Name {
+		case "execute":
+			execs++
 			if sp.Attrs["sampled_slices"] == "" || sp.Attrs["sampled_slices"] == "0" {
 				t.Errorf("execute span sampled_slices = %q, want > 0", sp.Attrs["sampled_slices"])
 			}
-		case strings.HasPrefix(sp.Name, "sample."):
-			if sp.Name == "sample.measure" {
-				sawMeasure = true
-			}
+		case "sample.measure":
+			measures++
 		}
 	}
-	if !sawExec {
-		t.Error("no execute span in sampled run")
+	if execs != 2 {
+		t.Errorf("%d execute spans in sampled run, want 2", execs)
 	}
-	if !sawMeasure {
+	if measures == 0 {
 		t.Errorf("no sample.measure span in sampled run (have %v)", allNames(rec))
 	}
-}
-
-// TestBenchPhases checks the per-phase breakdown survives into the bench
-// artifact's JSON.
-func TestBenchPhases(t *testing.T) {
-	c := Campaign{Schema: SchemaVersion, Records: []Record{{Workload: "a", ElapsedMS: 1}}}
-	b := NewBench(c)
-	b.Phases = []spans.PhaseTotal{{Phase: "simulate", Count: 2, TotalMS: 12.5}}
-	data, err := json.Marshal(b)
-	if err != nil {
-		t.Fatal(err)
+	if got := reuse(rec); !reflect.DeepEqual(got, []string{"built", "memory"}) {
+		t.Errorf("sample.profile reuse = %q, want [built memory]", got)
 	}
-	if !strings.Contains(string(data), `"phases"`) || !strings.Contains(string(data), `"simulate"`) {
-		t.Errorf("bench JSON missing phases breakdown: %s", data)
+	if got := reuse(run()); !reflect.DeepEqual(got, []string{"disk", "memory"}) {
+		t.Errorf("rerun sample.profile reuse = %q, want [disk memory]", got)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"morrigan/internal/arch"
 	"morrigan/internal/sim"
@@ -274,16 +275,19 @@ func TestProfileStoreBuildReuseAndCorruption(t *testing.T) {
 		return &sliceReader{recs: loopTrace(5_000, 8)}, nil
 	}
 
-	a, err := ps.Profile("w", 0, 5_000, 1_000, newReader)
+	a, howA, err := ps.Profile("w", 0, 5_000, 1_000, newReader)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ps.Profile("w", 0, 5_000, 1_000, newReader)
+	b, howB, err := ps.Profile("w", 0, 5_000, 1_000, newReader)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if builds != 1 {
 		t.Errorf("functional pass ran %d times, want 1", builds)
+	}
+	if howA != ProfileBuilt || howB != ProfileMemory {
+		t.Errorf("reuse outcomes %q, %q, want built, memory", howA, howB)
 	}
 	if ps.Built() != 1 || ps.Reused() != 1 {
 		t.Errorf("built=%d reused=%d, want 1/1", ps.Built(), ps.Reused())
@@ -297,8 +301,10 @@ func TestProfileStoreBuildReuseAndCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ps2.Profile("w", 0, 5_000, 1_000, newReader); err != nil {
+	if _, how, err := ps2.Profile("w", 0, 5_000, 1_000, newReader); err != nil {
 		t.Fatal(err)
+	} else if how != ProfileDisk {
+		t.Errorf("second store's reuse outcome %q, want disk", how)
 	}
 	if builds != 1 || ps2.Built() != 0 || ps2.Reused() != 1 {
 		t.Errorf("disk reuse: builds=%d built=%d reused=%d, want 1/0/1", builds, ps2.Built(), ps2.Reused())
@@ -313,19 +319,19 @@ func TestProfileStoreBuildReuseAndCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := ps3.Profile("w", 0, 5_000, 1_000, newReader)
+	c, how, err := ps3.Profile("w", 0, 5_000, 1_000, newReader)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ps3.Built() != 1 {
-		t.Errorf("corrupt artifact not rebuilt: built=%d", ps3.Built())
+	if ps3.Built() != 1 || how != ProfileBuilt {
+		t.Errorf("corrupt artifact not rebuilt: built=%d, reuse %q", ps3.Built(), how)
 	}
 	if !reflect.DeepEqual(a, c) {
 		t.Error("rebuilt profile differs from original")
 	}
 
 	// A mismatched window must never serve another window's artifact.
-	if _, err := ps3.Profile("w", 0, 4_000, 1_000, newReader); err != nil {
+	if _, _, err := ps3.Profile("w", 0, 4_000, 1_000, newReader); err != nil {
 		t.Fatal(err)
 	}
 	if ps3.Built() != 2 {
@@ -370,7 +376,7 @@ func TestMemProfileCacheSharesAcrossConfigs(t *testing.T) {
 	// Six "configs" of the same workload and window — the fig15 shape.
 	var first *Profile
 	for i := 0; i < 6; i++ {
-		p, err := mc.Profile("w", 0, 5_000, 1_000, newReader)
+		p, _, err := mc.Profile("w", 0, 5_000, 1_000, newReader)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -388,7 +394,7 @@ func TestMemProfileCacheSharesAcrossConfigs(t *testing.T) {
 	}
 
 	// A different window is a different key.
-	if _, err := mc.Profile("w", 0, 5_000, 500, newReader); err != nil {
+	if _, _, err := mc.Profile("w", 0, 5_000, 500, newReader); err != nil {
 		t.Fatal(err)
 	}
 	if mc.Built() != 2 {
@@ -414,11 +420,11 @@ func TestMemProfileCacheErrorNotCached(t *testing.T) {
 		}
 		return &sliceReader{recs: loopTrace(5_000, 8)}, nil
 	}
-	if _, err := mc.Profile("w", 0, 5_000, 1_000, newReader); err == nil {
+	if _, _, err := mc.Profile("w", 0, 5_000, 1_000, newReader); err == nil {
 		t.Fatal("reader error not surfaced")
 	}
 	fail = false
-	if _, err := mc.Profile("w", 0, 5_000, 1_000, newReader); err != nil {
+	if _, _, err := mc.Profile("w", 0, 5_000, 1_000, newReader); err != nil {
 		t.Fatalf("failed build poisoned the key: %v", err)
 	}
 	if mc.Built() != 1 {
@@ -439,21 +445,69 @@ func TestProfileStoreServesFromMemory(t *testing.T) {
 		builds++
 		return &sliceReader{recs: loopTrace(5_000, 8)}, nil
 	}
-	a, err := ps.Profile("w", 0, 5_000, 1_000, newReader)
+	a, _, err := ps.Profile("w", 0, 5_000, 1_000, newReader)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := os.Remove(filepath.Join(dir, ProfileKey("w", 0, 5_000, 1_000)+".json")); err != nil {
 		t.Fatal(err)
 	}
-	b, err := ps.Profile("w", 0, 5_000, 1_000, newReader)
+	b, how, err := ps.Profile("w", 0, 5_000, 1_000, newReader)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if how != ProfileMemory {
+		t.Errorf("reuse outcome %q, want memory", how)
 	}
 	if builds != 1 || ps.Built() != 1 || ps.Reused() != 1 {
 		t.Errorf("builds=%d built=%d reused=%d, want 1/1/1", builds, ps.Built(), ps.Reused())
 	}
 	if a != b {
 		t.Error("second request did not return the in-memory profile")
+	}
+}
+
+// TestProfileStoreFollowerWaits: a request that arrives while another
+// request for the same key is still building waits for that build and
+// reports wait; the functional pass runs once.
+func TestProfileStoreFollowerWaits(t *testing.T) {
+	ps := memStore(t)
+	started, release := make(chan struct{}), make(chan struct{})
+	builds := 0
+	newReader := func() (trace.Reader, error) {
+		builds++
+		close(started)
+		<-release
+		return &sliceReader{recs: loopTrace(5_000, 8)}, nil
+	}
+	leader := make(chan ProfileReuse)
+	go func() {
+		_, how, err := ps.Profile("w", 0, 5_000, 1_000, newReader)
+		if err != nil {
+			t.Error(err)
+		}
+		leader <- how
+	}()
+	<-started
+	follower := make(chan ProfileReuse)
+	go func() {
+		_, how, err := ps.Profile("w", 0, 5_000, 1_000, newReader)
+		if err != nil {
+			t.Error(err)
+		}
+		follower <- how
+	}()
+	// The follower cannot finish before the release, so give it time to
+	// find the in-flight build.
+	time.Sleep(50 * time.Millisecond)
+	close(release)
+	if how := <-leader; how != ProfileBuilt {
+		t.Errorf("leader reuse outcome %q, want built", how)
+	}
+	if how := <-follower; how != ProfileWait {
+		t.Errorf("follower reuse outcome %q, want wait", how)
+	}
+	if builds != 1 || ps.Built() != 1 || ps.Reused() != 1 {
+		t.Errorf("builds=%d built=%d reused=%d, want 1/1/1", builds, ps.Built(), ps.Reused())
 	}
 }

@@ -64,6 +64,17 @@ type ProfileStore struct {
 	reused atomic.Uint64
 }
 
+// ProfileReuse says how ProfileStore.Profile served a request: the reuse
+// outcome a trace's sample.profile span carries.
+type ProfileReuse string
+
+const (
+	ProfileBuilt  ProfileReuse = "built"  // a functional pass computed it
+	ProfileDisk   ProfileReuse = "disk"   // loaded from the store's directory
+	ProfileMemory ProfileReuse = "memory" // an earlier request's completed artifact
+	ProfileWait   ProfileReuse = "wait"   // waited for an in-flight request's build or load
+)
+
 type profileCall struct {
 	done chan struct{}
 	prof *Profile
@@ -89,25 +100,32 @@ func (ps *ProfileStore) path(key string) string {
 }
 
 // Profile returns the cached artifact for the window, building it with a
-// functional pass over a fresh reader from newReader when absent. The
-// returned profile is shared; callers must not mutate it (Cluster copies
-// before normalising).
-func (ps *ProfileStore) Profile(workloadHash string, skip, measure, interval uint64, newReader func() (trace.Reader, error)) (*Profile, error) {
+// functional pass over a fresh reader from newReader when absent, and says
+// how it was served. The returned profile is shared; callers must not mutate
+// it (Cluster copies before normalising).
+func (ps *ProfileStore) Profile(workloadHash string, skip, measure, interval uint64, newReader func() (trace.Reader, error)) (*Profile, ProfileReuse, error) {
 	key := ProfileKey(workloadHash, skip, measure, interval)
 
 	ps.mu.Lock()
 	if call, ok := ps.calls[key]; ok {
 		ps.mu.Unlock()
-		<-call.done
+		how := ProfileMemory
+		select {
+		case <-call.done:
+		default:
+			how = ProfileWait
+			<-call.done
+		}
 		if call.err == nil {
 			ps.reused.Add(1)
 		}
-		return call.prof, call.err
+		return call.prof, how, call.err
 	}
 	call := &profileCall{done: make(chan struct{})}
 	ps.calls[key] = call
 	ps.mu.Unlock()
 
+	how := ProfileDisk
 	if ps.dir != "" {
 		call.prof, call.err = ps.load(key, workloadHash, skip, measure, interval)
 	}
@@ -115,6 +133,7 @@ func (ps *ProfileStore) Profile(workloadHash string, skip, measure, interval uin
 		ps.reused.Add(1)
 	}
 	if call.err == nil && call.prof == nil {
+		how = ProfileBuilt
 		call.prof, call.err = ps.build(key, workloadHash, skip, measure, interval, newReader)
 		if call.err == nil {
 			ps.built.Add(1)
@@ -127,7 +146,7 @@ func (ps *ProfileStore) Profile(workloadHash string, skip, measure, interval uin
 		delete(ps.calls, key)
 		ps.mu.Unlock()
 	}
-	return call.prof, call.err
+	return call.prof, how, call.err
 }
 
 // load reads and validates a cached artifact; (nil, nil) means absent. A
