@@ -7,13 +7,39 @@ import (
 	"morrigan/internal/arch"
 )
 
+// contains reports whether the line is resident, changing nothing.
+func (c *Cache) contains(lineAddr uint64) bool {
+	_, hit := c.find(lineAddr)
+	return hit
+}
+
+// insert fills the line through find and fill, refreshing it if present,
+// and returns the line it evicted.
+func (c *Cache) insert(lineAddr uint64) (evicted uint64, wasEviction bool) {
+	way, hit := c.find(lineAddr)
+	if k := c.set(lineAddr)[way]; !hit && k != 0 {
+		evicted, wasEviction = k-1, true
+	}
+	c.fill(lineAddr, way)
+	return evicted, wasEviction
+}
+
+// servedTotal sums the stream's accesses over every serving level.
+func servedTotal(h *Hierarchy, kind Kind) uint64 {
+	var n uint64
+	for l := range arch.NumLevels {
+		n += h.Served(kind, arch.Level(l))
+	}
+	return n
+}
+
 func TestCacheHitAfterInsert(t *testing.T) {
 	c := NewCache("t", 4, 2)
-	if c.Lookup(0x100) {
+	if c.access(0x100) {
 		t.Fatal("cold cache hit")
 	}
-	c.Insert(0x100)
-	if !c.Lookup(0x100) {
+	c.insert(0x100)
+	if !c.access(0x100) {
 		t.Fatal("miss after insert")
 	}
 	if c.Accesses() != 2 || c.Misses() != 1 {
@@ -23,27 +49,27 @@ func TestCacheHitAfterInsert(t *testing.T) {
 
 func TestCacheLRUEviction(t *testing.T) {
 	c := NewCache("t", 1, 2) // one set, two ways
-	c.Insert(1)
-	c.Insert(2)
-	c.Lookup(1) // promote 1; 2 becomes LRU
-	evicted, was := c.Insert(3)
+	c.insert(1)
+	c.insert(2)
+	c.access(1) // promote 1; 2 becomes LRU
+	evicted, was := c.insert(3)
 	if !was || evicted != 2 {
 		t.Fatalf("evicted %d (eviction=%v), want 2", evicted, was)
 	}
-	if !c.Contains(1) || !c.Contains(3) || c.Contains(2) {
+	if !c.contains(1) || !c.contains(3) || c.contains(2) {
 		t.Fatal("wrong contents after eviction")
 	}
 }
 
 func TestCacheInsertExistingRefreshes(t *testing.T) {
 	c := NewCache("t", 1, 2)
-	c.Insert(1)
-	c.Insert(2)
-	c.Insert(1) // refresh, not duplicate
-	if _, was := c.Insert(3); !was {
+	c.insert(1)
+	c.insert(2)
+	c.insert(1) // refresh, not duplicate
+	if _, was := c.insert(3); !was {
 		t.Fatal("expected eviction")
 	}
-	if c.Contains(2) {
+	if c.contains(2) {
 		t.Fatal("2 should have been the LRU victim after 1 was refreshed")
 	}
 }
@@ -51,18 +77,18 @@ func TestCacheInsertExistingRefreshes(t *testing.T) {
 func TestCacheSetIsolation(t *testing.T) {
 	c := NewCache("t", 4, 1)
 	// Addresses differing in set bits don't evict each other.
-	c.Insert(0)
-	c.Insert(1)
-	c.Insert(2)
-	c.Insert(3)
+	c.insert(0)
+	c.insert(1)
+	c.insert(2)
+	c.insert(3)
 	for i := uint64(0); i < 4; i++ {
-		if !c.Contains(i) {
+		if !c.contains(i) {
 			t.Fatalf("line %d missing", i)
 		}
 	}
 	// Same set (stride 4) does evict.
-	c.Insert(4)
-	if c.Contains(0) {
+	c.insert(4)
+	if c.contains(0) {
 		t.Fatal("line 0 should be evicted by line 4")
 	}
 }
@@ -84,19 +110,19 @@ func TestCacheContentsNeverExceedCapacity(t *testing.T) {
 	c := NewCache("t", 2, 2)
 	f := func(addrs []uint16) bool {
 		for _, a := range addrs {
-			c.Insert(uint64(a))
+			c.insert(uint64(a))
 		}
 		// Count resident lines by probing everything inserted.
 		resident := 0
 		seen := map[uint64]bool{}
 		for _, a := range addrs {
 			la := uint64(a)
-			if !seen[la] && c.Contains(la) {
+			if !seen[la] && c.contains(la) {
 				resident++
 			}
 			seen[la] = true
 		}
-		return resident <= c.Entries()
+		return resident <= c.sets*c.ways
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -125,8 +151,8 @@ func TestHierarchyLatenciesAndLevels(t *testing.T) {
 	if h.Served(KindLoad, arch.LevelDRAM) != 1 || h.Served(KindLoad, arch.LevelL1) != 1 {
 		t.Fatal("served counters wrong")
 	}
-	if h.ServedTotal(KindLoad) != 2 {
-		t.Fatalf("ServedTotal = %d", h.ServedTotal(KindLoad))
+	if n := servedTotal(h, KindLoad); n != 2 {
+		t.Fatalf("served total = %d", n)
 	}
 }
 
@@ -136,10 +162,10 @@ func TestHierarchyFetchUsesL1I(t *testing.T) {
 	h := NewHierarchy(cfg)
 	addr := arch.PAddr(0x40000)
 	h.Access(KindFetch, addr)
-	if !h.L1I.Contains(addr.Line()) {
+	if !h.L1I.contains(addr.Line()) {
 		t.Fatal("fetch did not fill L1I")
 	}
-	if h.L1D.Contains(addr.Line()) {
+	if h.L1D.contains(addr.Line()) {
 		t.Fatal("fetch filled L1D")
 	}
 	// A data access to the same line finds it in L2 (shared), not L1D.
@@ -173,18 +199,18 @@ func TestPrefetchInto(t *testing.T) {
 	h := NewHierarchy(cfg)
 	addr := arch.PAddr(0x123440)
 	h.PrefetchInto(arch.LevelL2, addr)
-	if !h.L2.Contains(addr.Line()) || !h.LLC.Contains(addr.Line()) {
+	if !h.L2.contains(addr.Line()) || !h.LLC.contains(addr.Line()) {
 		t.Fatal("prefetch did not fill L2+LLC")
 	}
-	if h.L1I.Contains(addr.Line()) {
+	if h.L1I.contains(addr.Line()) {
 		t.Fatal("L2 prefetch must not fill L1I")
 	}
 	h.PrefetchInto(arch.LevelL1, arch.PAddr(0x555000))
-	if !h.L1I.Contains(arch.PAddr(0x555000).Line()) {
+	if !h.L1I.contains(arch.PAddr(0x555000).Line()) {
 		t.Fatal("L1 prefetch did not fill L1I")
 	}
-	if !h.ContainsLine(addr) {
-		t.Fatal("ContainsLine should see the prefetched line")
+	if !h.L2.contains(addr.Line()) && !h.LLC.contains(addr.Line()) {
+		t.Fatal("the L2+LLC should still hold the prefetched line")
 	}
 }
 
@@ -192,7 +218,7 @@ func TestHierarchyResetStats(t *testing.T) {
 	h := NewHierarchy(DefaultConfig())
 	h.Access(KindLoad, 0x1000)
 	h.ResetStats()
-	if h.ServedTotal(KindLoad) != 0 || h.L1D.Accesses() != 0 {
+	if servedTotal(h, KindLoad) != 0 || h.L1D.Accesses() != 0 {
 		t.Fatal("stats not cleared")
 	}
 	// Contents survive the reset.

@@ -118,32 +118,30 @@ func (h *Hierarchy) l1For(kind Kind) *Cache {
 
 // Access performs one demand access at the physical address, updating cache
 // state and statistics, and returns where and how fast it was served.
+//
+// Each level's set is scanned once: a missing level is filled by the same
+// pass that probed it, before the levels below are probed. The levels are
+// distinct caches, so filling a level early leaves every state as the
+// fill-on-the-way-back order would.
 func (h *Hierarchy) Access(kind Kind, addr arch.PAddr) Result {
 	lineAddr := addr.Line()
-	l1 := h.l1For(kind)
 
 	res := Result{Latency: h.cfg.L1Latency, Level: arch.LevelL1}
 	switch {
-	case l1.Lookup(lineAddr):
+	case h.l1For(kind).access(lineAddr):
 		// Served by L1.
-	case h.L2.Lookup(lineAddr):
+	case h.L2.access(lineAddr):
 		res = Result{Latency: h.cfg.L1Latency + h.cfg.L2Latency, Level: arch.LevelL2}
-		l1.Insert(lineAddr)
-	case h.LLC.Lookup(lineAddr):
+	case h.LLC.access(lineAddr):
 		res = Result{
 			Latency: h.cfg.L1Latency + h.cfg.L2Latency + h.cfg.LLCLatency,
 			Level:   arch.LevelLLC,
 		}
-		h.L2.Insert(lineAddr)
-		l1.Insert(lineAddr)
 	default:
 		res = Result{
 			Latency: h.cfg.L1Latency + h.cfg.L2Latency + h.cfg.LLCLatency + h.cfg.DRAMLatency,
 			Level:   arch.LevelDRAM,
 		}
-		h.LLC.Insert(lineAddr)
-		h.L2.Insert(lineAddr)
-		l1.Insert(lineAddr)
 	}
 	h.served[kind][res.Level]++
 
@@ -156,31 +154,32 @@ func (h *Hierarchy) Access(kind Kind, addr arch.PAddr) Result {
 }
 
 // PrefetchInto fills a line into the given level (and below it, down to the
-// LLC) without charging demand latency; used by cache prefetchers. It
-// returns the level that supplied the data, from which callers can derive
-// the fill's completion time.
+// LLC) without charging demand latency; used by cache prefetchers. A line
+// already present at a filled level is refreshed. It returns the level that
+// supplied the data, from which callers can derive the fill's completion
+// time.
+//
+// Each level's set is scanned once: the L2 probe keeps the way it found for
+// the L2 fill, and the L1I and LLC are probed by their fills.
 func (h *Hierarchy) PrefetchInto(level arch.Level, addr arch.PAddr) arch.Level {
 	lineAddr := addr.Line()
+	l2Way, inL2 := h.L2.find(lineAddr)
+	if inL2 && level >= arch.LevelL2 {
+		return arch.LevelL2
+	}
+	if level == arch.LevelL1 {
+		h.L1I.touch(lineAddr)
+	}
+	if level <= arch.LevelL2 {
+		h.L2.fill(lineAddr, l2Way)
+	}
 	served := arch.LevelDRAM
-	if h.L2.Contains(lineAddr) {
+	if inLLC := h.LLC.touch(lineAddr); inL2 {
 		served = arch.LevelL2
-	} else if h.LLC.Contains(lineAddr) {
+	} else if inLLC {
 		served = arch.LevelLLC
 	}
-	if served == arch.LevelL2 && level >= arch.LevelL2 {
-		return served
-	}
 	h.served[KindPrefetch][served]++
-	switch level {
-	case arch.LevelL1:
-		h.L1I.Insert(lineAddr)
-		fallthrough
-	case arch.LevelL2:
-		h.L2.Insert(lineAddr)
-		fallthrough
-	default:
-		h.LLC.Insert(lineAddr)
-	}
 	return served
 }
 
@@ -199,26 +198,10 @@ func (h *Hierarchy) FillLatency(level arch.Level) arch.Cycle {
 	}
 }
 
-// ContainsLine reports whether any level below the L1s holds the line; used
-// by prefetchers to estimate timeliness.
-func (h *Hierarchy) ContainsLine(addr arch.PAddr) bool {
-	lineAddr := addr.Line()
-	return h.L2.Contains(lineAddr) || h.LLC.Contains(lineAddr)
-}
-
 // Served returns how many accesses of the given stream were served by the
 // given level since the last ResetStats.
 func (h *Hierarchy) Served(kind Kind, level arch.Level) uint64 {
 	return h.served[kind][level]
-}
-
-// ServedTotal returns the total accesses of the stream.
-func (h *Hierarchy) ServedTotal(kind Kind) uint64 {
-	var t uint64
-	for _, c := range h.served[kind] {
-		t += c
-	}
-	return t
 }
 
 // ResetStats clears all statistics, keeping contents (warmup boundary).
@@ -229,9 +212,6 @@ func (h *Hierarchy) ResetStats() {
 	h.LLC.ResetStats()
 	h.served = [numKinds][arch.NumLevels]uint64{}
 }
-
-// Config returns the hierarchy's configuration.
-func (h *Hierarchy) Config() Config { return h.cfg }
 
 // stridePrefetcher is a minimal per-page stride prefetcher standing in for
 // the paper's SPP at L2: it tracks the last offset and delta per data page

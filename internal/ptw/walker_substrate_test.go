@@ -75,6 +75,16 @@ func TestWalkerRadix5PSCCoversDeepLevels(t *testing.T) {
 	}
 }
 
+// servedDemand counts the demand-walk references the hierarchy served, over
+// every level.
+func servedDemand(mem *cache.Hierarchy) uint64 {
+	var n uint64
+	for l := range arch.NumLevels {
+		n += mem.Served(cache.KindPTWDemand, arch.Level(l))
+	}
+	return n
+}
+
 func TestHashedWalkerFreeVPNsWithoutExtraRefs(t *testing.T) {
 	pt := pagetable.NewHashed(1, 1<<14)
 	w, mem := newSubstrateWalker(pt)
@@ -82,9 +92,9 @@ func TestHashedWalkerFreeVPNsWithoutExtraRefs(t *testing.T) {
 	for i := arch.VPN(0); i < 8; i++ {
 		pt.EnsureMapped(base + i)
 	}
-	before := mem.ServedTotal(cache.KindPTWDemand)
+	before := servedDemand(mem)
 	res := w.Walk(0, base, 0, true)
-	after := mem.ServedTotal(cache.KindPTWDemand)
+	after := servedDemand(mem)
 	if len(res.FreeVPNs) != 7 {
 		t.Fatalf("FreeVPNs = %d, want 7", len(res.FreeVPNs))
 	}
