@@ -38,7 +38,7 @@ const samplingKeyTag = "sampled"
 // instruction streams are not described by workload specs), and jobs with
 // no Workloads at all. Such jobs always execute.
 func (j Job) Key() (string, bool) {
-	if j.Instrument != nil || j.NewThreads != nil || len(j.Workloads) == 0 {
+	if !j.keyed() {
 		return "", false
 	}
 	hashes := make([]string, len(j.Workloads))
@@ -46,6 +46,11 @@ func (j Job) Key() (string, bool) {
 		hashes[i] = w.Hash()
 	}
 	return jobKey(j.Machine.Hash(), hashes, j.Warmup, j.Measure, j.Sampling), true
+}
+
+// keyed reports whether the job has a data-only identity, without hashing.
+func (j Job) keyed() bool {
+	return j.Instrument == nil && j.NewThreads == nil && len(j.Workloads) > 0
 }
 
 // DeriveSampledJobKey derives the canonical job key from already-computed

@@ -234,6 +234,10 @@ type Options struct {
 	// check per phase, and results are bit-identical either way (asserted by
 	// the trace-purity test).
 	Spans *spans.Recorder
+
+	// profileDone, set by Run, is told when job i's profile request
+	// returns (see claims).
+	profileDone func(i int)
 }
 
 // jobTraceID derives the job's trace id: the canonical key when the job has
@@ -311,26 +315,23 @@ func Run(ctx context.Context, jobs []Job, opt Options) ([]Result, error) {
 	}
 
 	var (
-		mu      sync.Mutex // guards next and the progress tracker
-		next    int
-		claimed = make([]bool, len(jobs))
-		prog    = newProgressTracker(len(jobs), opt.Progress)
-		wg      sync.WaitGroup
+		mu   sync.Mutex // guards the progress tracker
+		prog = newProgressTracker(len(jobs), opt.Progress)
+		cl   = newClaims(jobs, opt)
+		wg   sync.WaitGroup
 	)
+	opt.profileDone = cl.release
 	for w := opt.workers(len(jobs)); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for ctx.Err() == nil {
-				mu.Lock()
-				i := next
-				next++
-				mu.Unlock()
-				if i >= len(jobs) {
+				i := cl.claim()
+				if i < 0 {
 					return
 				}
-				claimed[i] = true
 				results[i] = executeShared(ctx, i, jobs[i], opt)
+				cl.release(i)
 				if opt.Observer != nil {
 					opt.Observer.JobFinished(i, results[i])
 				}
@@ -344,7 +345,7 @@ func Run(ctx context.Context, jobs []Job, opt Options) ([]Result, error) {
 
 	// Jobs never claimed (campaign cancelled first) carry the context error.
 	for i := range results {
-		if !claimed[i] {
+		if !cl.claimed[i] {
 			err := ctx.Err()
 			if err == nil {
 				err = context.Canceled
@@ -543,7 +544,7 @@ func execute(ctx context.Context, i int, j Job, opt Options, trace string) (res 
 		// would finish and reset a probe, so a per-job time series is
 		// undefined. The observer still receives JobFinished, exactly as it
 		// does for store-reused jobs.
-		st, outcome, serr := executeSampled(ctx, &s, cfg, j, opt, trace)
+		st, outcome, serr := executeSampled(ctx, i, &s, cfg, j, opt, trace)
 		if serr != nil {
 			res.Err = fmt.Errorf("runner: %s: %w", j.Name(), serr)
 			return res

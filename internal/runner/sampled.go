@@ -18,7 +18,7 @@ import (
 // The built simulator is published through sp so the caller's deferred
 // accounting (SimInstructions via Executed, which fast-forwarded
 // instructions never enter) sees it even on a mid-run failure.
-func executeSampled(ctx context.Context, sp **sim.Simulator, cfg sim.Config, j Job, opt Options, traceID string) (sim.Stats, *sampling.Outcome, error) {
+func executeSampled(ctx context.Context, i int, sp **sim.Simulator, cfg sim.Config, j Job, opt Options, traceID string) (sim.Stats, *sampling.Outcome, error) {
 	if j.NewThreads != nil {
 		return sim.Stats{}, nil, fmt.Errorf("sampled execution requires workload-described threads (NewThreads is set)")
 	}
@@ -41,6 +41,9 @@ func executeSampled(ctx context.Context, sp **sim.Simulator, cfg sim.Config, j J
 	profSpan := opt.Spans.Start(traceID, "sample.profile")
 	prof, how, err := opt.Profiles.Profile(w.Hash(), j.Warmup, j.Measure, pol.Interval, newReader)
 	profSpan.Attr("reuse", string(how)).End()
+	if opt.profileDone != nil {
+		opt.profileDone(i)
+	}
 	if err != nil {
 		return sim.Stats{}, nil, err
 	}
@@ -71,7 +74,7 @@ func executeSampled(ctx context.Context, sp **sim.Simulator, cfg sim.Config, j J
 			return a.End
 		}
 	}
-	st, outcome, err := sampling.ExecuteTraced(ctx, s, j.Warmup, plan, pol, hook)
+	st, outcome, err := sampling.Execute(ctx, s, j.Warmup, plan, pol, hook)
 	if err != nil {
 		return sim.Stats{}, nil, err
 	}

@@ -4,11 +4,16 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"sort"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"morrigan/internal/core"
 	"morrigan/internal/machine"
 	"morrigan/internal/sampling"
+	"morrigan/internal/spans"
+	"morrigan/internal/trace"
 	"morrigan/internal/workloads"
 )
 
@@ -219,6 +224,71 @@ func TestProgressTrackerETAWarmStore(t *testing.T) {
 	for _, e := range events2 {
 		if e.ETA != 0 {
 			t.Fatalf("ETA = %v with no executed jobs, want 0 (unknown)", e.ETA)
+		}
+	}
+}
+
+// TestSampledClaimsSkipInFlightProfile: with two workers on two workloads
+// of three sampled machines each, the second worker does not claim a job
+// whose profile the first is still building (it would wait) but builds the
+// other workload's profile. The first build is held in NewReader until
+// another reader opens, which under the old lowest-index rule never happens
+// before the hold times out, leaving a "wait" outcome. Results equal the
+// serial run's.
+func TestSampledClaimsSkipInFlightProfile(t *testing.T) {
+	var jobs []Job
+	for _, w := range workloads.QMM()[:2] {
+		for _, pf := range []machine.PrefetcherSpec{{}, machine.SP(), machine.Morrigan(core.DefaultConfig())} {
+			m := machine.Default()
+			m.Prefetcher = pf
+			jobs = append(jobs, Job{
+				Experiment: "claims",
+				Workload:   w.Name,
+				Machine:    m,
+				Workloads:  []workloads.Spec{w},
+				Warmup:     5_000,
+				Measure:    20_000,
+				Sampling:   &sampling.Policy{Interval: 2_000, Clusters: 4, SliceWarmup: 500, Seed: 1},
+			})
+		}
+	}
+	serial, err := Run(context.Background(), jobs, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var opened atomic.Int32
+	second := make(chan struct{}) // closed when a second reader opens
+	newReader := func(w workloads.Spec) (trace.Reader, error) {
+		switch opened.Add(1) {
+		case 1:
+			select {
+			case <-second:
+			case <-time.After(5 * time.Second):
+			}
+		case 2:
+			close(second)
+		}
+		return w.NewReader(), nil
+	}
+	rec := spans.NewRecorder("")
+	parallel, err := Run(context.Background(), jobs, Options{Workers: 2, NewReader: newReader, Spans: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var outcomes []string
+	for _, sp := range rec.Spans() {
+		if sp.Name == "sample.profile" {
+			outcomes = append(outcomes, sp.Attrs["reuse"])
+		}
+	}
+	sort.Strings(outcomes)
+	if want := []string{"built", "built", "memory", "memory", "memory", "memory"}; !reflect.DeepEqual(outcomes, want) {
+		t.Errorf("profile outcomes %v, want %v", outcomes, want)
+	}
+	for i := range jobs {
+		if !reflect.DeepEqual(serial[i].Stats, parallel[i].Stats) || !reflect.DeepEqual(serial[i].Sampling, parallel[i].Sampling) {
+			t.Errorf("job %d (%s): two-worker result differs from the serial one", i, jobs[i].Name())
 		}
 	}
 }

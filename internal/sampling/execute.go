@@ -43,18 +43,13 @@ type SpanHook func(phase string) func()
 // functional TLB/page-table warmup, optionally simulates a timed slice
 // warmup, simulates the representative interval in full timing detail, and
 // finally extrapolates the weighted full-window Stats with confidence
-// intervals.
+// intervals. hook, when non-nil, observes each phase (see SpanHook).
 //
 // warmup is the job's (functional, under sampling) warmup prefix; the plan's
 // interval indices are relative to the measurement window that follows it.
 // The simulator must be fresh — its trace readers positioned at the stream
 // start — and is consumed by the call.
-func Execute(ctx context.Context, s *sim.Simulator, warmup uint64, plan *Plan, pol Policy) (sim.Stats, *Outcome, error) {
-	return ExecuteTraced(ctx, s, warmup, plan, pol, nil)
-}
-
-// ExecuteTraced is Execute with a per-phase tracing hook; see SpanHook.
-func ExecuteTraced(ctx context.Context, s *sim.Simulator, warmup uint64, plan *Plan, pol Policy, hook SpanHook) (sim.Stats, *Outcome, error) {
+func Execute(ctx context.Context, s *sim.Simulator, warmup uint64, plan *Plan, pol Policy, hook SpanHook) (sim.Stats, *Outcome, error) {
 	if len(plan.Reps) == 0 {
 		return sim.Stats{}, nil, fmt.Errorf("sampling: plan has no representatives")
 	}

@@ -92,9 +92,6 @@ func OpenProfileStore(dir string) (*ProfileStore, error) {
 	return &ProfileStore{dir: dir, calls: make(map[string]*profileCall)}, nil
 }
 
-// Dir returns the store's directory ("" for a memory-only store).
-func (ps *ProfileStore) Dir() string { return ps.dir }
-
 func (ps *ProfileStore) path(key string) string {
 	return filepath.Join(ps.dir, key+".json")
 }

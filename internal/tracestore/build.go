@@ -84,33 +84,39 @@ func Build(w io.Writer, src trace.Reader, records uint64, opt BuildOptions) (Bui
 		close(results)
 	}()
 
-	// Producer: step the source into fixed-size chunks. Bounded by the jobs
-	// channel, at most ~3× workers chunks are in memory at once.
+	// Producer: fill fixed-size chunks from the source, in batches when it
+	// is a BatchReader. Bounded by the jobs channel, at most ~3× workers
+	// chunks are in memory at once.
 	prodErr := make(chan error, 1)
 	go func() {
 		defer close(jobs)
 		seq := 0
 		var emitted uint64
-		var rec trace.Record
 		for emitted < records {
 			n := uint64(chunkRecords)
 			if left := records - emitted; left < n {
 				n = left
 			}
-			recs := make([]trace.Record, 0, n)
-			for uint64(len(recs)) < n {
-				err := src.Next(&rec)
-				if err == io.EOF {
-					break
+			recs := make([]trace.Record, n)
+			filled := 0
+			var err error
+			for filled < len(recs) && err == nil {
+				var k int
+				k, err = trace.Fill(src, recs[filled:])
+				if k == 0 && err == nil {
+					err = io.ErrNoProgress
 				}
-				if err != nil {
-					if len(recs) > 0 {
-						jobs <- encJob{seq: seq, recs: recs}
-					}
-					prodErr <- err
-					return
+				filled += k
+			}
+			// Records read before an error or the end of the stream are
+			// kept, as Fill allows n > 0 together with an error.
+			recs = recs[:filled]
+			if err != nil && err != io.EOF {
+				if len(recs) > 0 {
+					jobs <- encJob{seq: seq, recs: recs}
 				}
-				recs = append(recs, rec)
+				prodErr <- err
+				return
 			}
 			if len(recs) == 0 {
 				break
@@ -118,7 +124,7 @@ func Build(w io.Writer, src trace.Reader, records uint64, opt BuildOptions) (Bui
 			jobs <- encJob{seq: seq, recs: recs}
 			seq++
 			emitted += uint64(len(recs))
-			if uint64(len(recs)) < n {
+			if err == io.EOF {
 				break // source ended early
 			}
 		}

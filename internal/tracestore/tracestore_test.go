@@ -126,6 +126,78 @@ func TestBuildEarlyEOF(t *testing.T) {
 	}
 }
 
+// TestBuildReadsInBatches: the build fills chunks through trace.Fill, and
+// the container bytes do not depend on how the source delivers records —
+// a BatchReader generator, a short-batch reader, or one record per Next.
+func TestBuildReadsInBatches(t *testing.T) {
+	const n, chunk = 5000, 1024
+	build := func(src trace.Reader) []byte {
+		var buf bytes.Buffer
+		info, err := Build(&buf, src, n, BuildOptions{ChunkRecords: chunk})
+		if err != nil {
+			t.Fatalf("Build: %v", err)
+		}
+		if info.Records != n {
+			t.Fatalf("Build reported %d records, want %d", info.Records, n)
+		}
+		return buf.Bytes()
+	}
+	gen := func() trace.Reader { return workloads.QMM()[0].NewReader() }
+	if _, ok := gen().(trace.BatchReader); !ok {
+		t.Fatal("the generator is not a BatchReader; the batched path goes untested")
+	}
+	want := build(gen())
+	for name, src := range map[string]trace.Reader{
+		"per-record":  perRecord{gen()},
+		"short-batch": shortBatch{gen().(trace.BatchReader)},
+	} {
+		if got := build(src); !bytes.Equal(got, want) {
+			t.Errorf("%s source: container differs from the batched build", name)
+		}
+	}
+}
+
+// TestBuildSourceError: a source failing part-way through a chunk fails the
+// build with its error.
+func TestBuildSourceError(t *testing.T) {
+	boom := errors.New("boom")
+	src := &failAfter{r: perRecord{workloads.QMM()[0].NewReader()}, left: 300, err: boom}
+	var buf bytes.Buffer
+	if _, err := Build(&buf, src, 10_000, BuildOptions{ChunkRecords: 128}); !errors.Is(err, boom) {
+		t.Fatalf("Build error = %v, want %v", err, boom)
+	}
+	if src.left != 0 {
+		t.Fatalf("build stopped %d records before the failure", src.left)
+	}
+}
+
+// perRecord hides a reader's bulk interface.
+type perRecord struct{ r trace.Reader }
+
+func (p perRecord) Next(rec *trace.Record) error { return p.r.Next(rec) }
+
+// shortBatch delivers at most 7 records per NextBatch.
+type shortBatch struct{ trace.BatchReader }
+
+func (s shortBatch) NextBatch(dst []trace.Record) (int, error) {
+	return s.BatchReader.NextBatch(dst[:min(len(dst), 7)])
+}
+
+// failAfter yields left records from r, then err.
+type failAfter struct {
+	r    trace.Reader
+	left int
+	err  error
+}
+
+func (f *failAfter) Next(rec *trace.Record) error {
+	if f.left == 0 {
+		return f.err
+	}
+	f.left--
+	return f.r.Next(rec)
+}
+
 // TestBuildEmpty checks the zero-record container round-trips.
 func TestBuildEmpty(t *testing.T) {
 	var buf bytes.Buffer
