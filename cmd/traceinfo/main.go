@@ -3,11 +3,11 @@
 //   - a flat trace file: instruction counts, memory operation mix, code/data
 //     footprints and page-transition statistics;
 //   - a corpus container (.mtc): geometry and a per-chunk table of record
-//     counts and compressed/uncompressed sizes;
+//     counts and frame sizes;
 //   - a corpus store directory: the manifest of materialised workloads.
 //
-// -verify additionally checks corpus contents against the index: every
-// chunk's frame checksum, record count and uncompressed length.
+// -verify additionally decodes every corpus chunk, checking its frame
+// checksum, encoding and record count against the index.
 //
 // Examples:
 //
@@ -31,7 +31,7 @@ import (
 )
 
 func main() {
-	verify := flag.Bool("verify", false, "verify corpus chunk checksums, record counts and lengths against the index")
+	verify := flag.Bool("verify", false, "verify corpus chunk checksums, encodings and record counts against the index")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: traceinfo [-verify] <trace-file | corpus.mtc | corpus-dir>")
@@ -127,18 +127,15 @@ func corpusInfo(path string, verify bool) {
 	fmt.Printf("corpus container  %s\n", path)
 	fmt.Printf("records           %d\n", c.Records())
 	fmt.Printf("chunks            %d (%d records each)\n", c.Chunks(), c.ChunkRecords())
-	var clen, ulen uint64
+	var size uint64
 	for i := 0; i < c.Chunks(); i++ {
-		ci := c.Chunk(i)
-		clen += ci.CompressedLen
-		ulen += ci.UncompressedLen
+		size += c.Chunk(i).Bytes
 	}
-	fmt.Printf("compressed        %.1f MB (%.1f MB encoded, ratio %.2fx, %.2f bytes/record)\n",
-		float64(clen)/1e6, float64(ulen)/1e6, float64(ulen)/float64(clen), float64(clen)/float64(c.Records()))
-	fmt.Printf("%6s %12s %12s %14s %12s\n", "chunk", "records", "compressed", "uncompressed", "offset")
+	fmt.Printf("frames            %.1f MB (%.2f bytes/record)\n", float64(size)/1e6, float64(size)/float64(c.Records()))
+	fmt.Printf("%6s %12s %12s %12s %12s\n", "chunk", "records", "bytes", "bytes/record", "offset")
 	for i := 0; i < c.Chunks(); i++ {
 		ci := c.Chunk(i)
-		fmt.Printf("%6d %12d %12d %14d %12d\n", i, ci.Records, ci.CompressedLen, ci.UncompressedLen, ci.Offset)
+		fmt.Printf("%6d %12d %12d %12.2f %12d\n", i, ci.Records, ci.Bytes, float64(ci.Bytes)/float64(ci.Records), ci.Offset)
 	}
 	if verify {
 		if err := c.Verify(); err != nil {

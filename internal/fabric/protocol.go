@@ -46,8 +46,10 @@ import (
 // ProtocolVersion identifies the fabric wire protocol; lease responses carry
 // it so a worker built against a different protocol fails loudly instead of
 // misreading fields. Version 2 added distributed tracing (trace ids on
-// leases, spans and clock samples on heartbeats/submissions).
-const ProtocolVersion = 2
+// leases, spans and clock samples on heartbeats/submissions); version 3
+// serves corpus containers in format version 2 (raw CRC-checked frames),
+// which a version-2 worker cannot ingest.
+const ProtocolVersion = 3
 
 // wireWorkload is one workload spec on the wire (the same shape
 // workloads.SaveSpec writes).

@@ -99,3 +99,45 @@ func BenchmarkCorpusNextBatch(b *testing.B) {
 		r.Close()
 	}
 }
+
+// benchChunk is one default-size chunk of the benchmark workload.
+func benchChunk(b *testing.B) []trace.Record {
+	return benchGenRecords(b)[:DefaultChunkRecords]
+}
+
+// reportPerRecord reports the loop's time per encoded or decoded record.
+func reportPerRecord(b *testing.B, records int) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(records), "ns/record")
+}
+
+// BenchmarkChunkEncode measures the build's per-chunk work: encoding one
+// full chunk and checksumming the frame.
+func BenchmarkChunkEncode(b *testing.B) {
+	recs := benchChunk(b)
+	b.SetBytes(int64(len(recs)) * recordMemBytes)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		frameSink, _ = encodeChunk(recs)
+	}
+	reportPerRecord(b, len(recs))
+}
+
+// frameSink keeps the compiler from discarding BenchmarkChunkEncode's work.
+var frameSink []byte
+
+// BenchmarkChunkDecode measures a cache miss's work: checking one full
+// chunk's frame checksum and decoding it.
+func BenchmarkChunkDecode(b *testing.B) {
+	recs := benchChunk(b)
+	frame, crc := encodeChunk(recs)
+	dst := make([]trace.Record, 0, len(recs))
+	b.SetBytes(int64(len(recs)) * recordMemBytes)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if dst, err = decodeChunk(frame, uint64(len(recs)), crc, dst[:0]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportPerRecord(b, len(recs))
+}

@@ -39,16 +39,13 @@ type BuildInfo struct {
 	// short of the request if the source reader hit io.EOF first).
 	Records uint64
 	Chunks  int
-	// CompressedBytes and UncompressedBytes measure the record stream before
-	// the index and framing.
-	CompressedBytes, UncompressedBytes int64
 }
 
 // Build drains up to `records` records from src into a corpus container on
 // w. The source is stepped sequentially (generators are inherently serial),
-// but chunk encoding — the dominant cost — is fanned out over a worker pool
-// and the compressed frames are written back in chunk order, so build
-// throughput scales with cores until the generator itself is the bottleneck.
+// but chunk encoding and checksumming are fanned out over a worker pool and
+// the frames are written back in chunk order, so the build costs little more
+// than one pass of the generator.
 func Build(w io.Writer, src trace.Reader, records uint64, opt BuildOptions) (BuildInfo, error) {
 	chunkRecords := opt.chunkRecords()
 	workers := opt.workers()
@@ -61,9 +58,7 @@ func Build(w io.Writer, src trace.Reader, records uint64, opt BuildOptions) (Bui
 		seq     int
 		frame   []byte
 		records int
-		ulen    int
 		crc     uint32
-		err     error
 	}
 	jobs := make(chan encJob, workers)
 	results := make(chan encRes, workers)
@@ -74,8 +69,8 @@ func Build(w io.Writer, src trace.Reader, records uint64, opt BuildOptions) (Bui
 		go func() {
 			defer wg.Done()
 			for j := range jobs {
-				frame, ulen, crc, err := encodeChunk(j.recs)
-				results <- encRes{seq: j.seq, frame: frame, records: len(j.recs), ulen: ulen, crc: crc, err: err}
+				frame, crc := encodeChunk(j.recs)
+				results <- encRes{seq: j.seq, frame: frame, records: len(j.recs), crc: crc}
 			}
 		}()
 	}
@@ -137,11 +132,7 @@ func Build(w io.Writer, src trace.Reader, records uint64, opt BuildOptions) (Bui
 	nextSeq := 0
 	for r := range results {
 		if err != nil {
-			continue // drain after a write/encode error
-		}
-		if r.err != nil {
-			err = r.err
-			continue
+			continue // drain after a write error
 		}
 		pending[r.seq] = r
 		for {
@@ -150,12 +141,10 @@ func Build(w io.Writer, src trace.Reader, records uint64, opt BuildOptions) (Bui
 				break
 			}
 			delete(pending, nextSeq)
-			if werr := cw.writeFrame(rr.frame, rr.records, rr.ulen, rr.crc); werr != nil {
+			if werr := cw.writeFrame(rr.frame, rr.records, rr.crc); werr != nil {
 				err = werr
 				break
 			}
-			info.CompressedBytes += int64(len(rr.frame))
-			info.UncompressedBytes += int64(rr.ulen)
 			nextSeq++
 		}
 	}

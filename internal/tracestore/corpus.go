@@ -3,7 +3,6 @@ package tracestore
 import (
 	"bytes"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 
@@ -80,13 +79,7 @@ func (c *Corpus) Workload() string { return c.workload }
 // Chunk describes chunk i.
 func (c *Corpus) Chunk(i int) ChunkInfo {
 	ci := c.chunks[i]
-	return ChunkInfo{
-		Offset:          ci.offset,
-		Records:         ci.records,
-		CompressedLen:   ci.clen,
-		UncompressedLen: ci.ulen,
-		CRC32C:          ci.crc,
-	}
+	return ChunkInfo{Offset: ci.offset, Records: ci.records, Bytes: ci.size, CRC32C: ci.crc}
 }
 
 // Close releases the underlying file, if the corpus owns one. Readers must
@@ -98,24 +91,16 @@ func (c *Corpus) Close() error {
 	return nil
 }
 
-// readFrame fetches chunk i's compressed frame.
-func (c *Corpus) readFrame(i int) ([]byte, error) {
+// decode fetches chunk i's frame and decodes it, bypassing any cache. The
+// frame lies before the index offset (parseContainer checks), so a corrupt
+// index cannot demand an allocation larger than the container.
+func (c *Corpus) decode(i int) ([]trace.Record, error) {
 	ci := c.chunks[i]
-	frame := make([]byte, ci.clen)
+	frame := make([]byte, ci.size)
 	if _, err := c.src.ReadAt(frame, ci.offset); err != nil {
 		return nil, corrupt("chunk %d: reading frame: %v", i, err)
 	}
-	return frame, nil
-}
-
-// decode fetches and decodes chunk i, bypassing any cache.
-func (c *Corpus) decode(i int) ([]trace.Record, error) {
-	frame, err := c.readFrame(i)
-	if err != nil {
-		return nil, err
-	}
-	ci := c.chunks[i]
-	recs, err := decodeChunk(frame, ci.records, ci.ulen, make([]trace.Record, 0, decodeCap(ci.records)))
+	recs, err := decodeChunk(frame, ci.records, ci.crc, make([]trace.Record, 0, decodeCap(ci.records)))
 	if err != nil {
 		return nil, fmt.Errorf("chunk %d: %w", i, err)
 	}
@@ -147,21 +132,11 @@ func (c *Corpus) acquire(i int) ([]trace.Record, func(), error) {
 	return recs, func() {}, nil
 }
 
-// VerifyChunk checks chunk i's frame checksum and decodes it, verifying the
-// record count and uncompressed length against the index.
+// VerifyChunk decodes chunk i privately, which checks its frame checksum,
+// encoding and record count against the index.
 func (c *Corpus) VerifyChunk(i int) error {
-	frame, err := c.readFrame(i)
-	if err != nil {
-		return err
-	}
-	ci := c.chunks[i]
-	if got := crc32.Checksum(frame, castagnoli); got != ci.crc {
-		return corrupt("chunk %d: frame checksum %#08x, index says %#08x", i, got, ci.crc)
-	}
-	if _, err := decodeChunk(frame, ci.records, ci.ulen, make([]trace.Record, 0, decodeCap(ci.records))); err != nil {
-		return fmt.Errorf("chunk %d: %w", i, err)
-	}
-	return nil
+	_, err := c.decode(i)
+	return err
 }
 
 // Verify checks every chunk against the index (see VerifyChunk).

@@ -1,6 +1,6 @@
 // Package tracestore materialises synthetic workloads into chunked,
-// compressed, footer-indexed corpus containers built once and then served to
-// every simulation job that wants the workload — turning trace supply from a
+// footer-indexed corpus containers built once and then served to every
+// simulation job that wants the workload — turning trace supply from a
 // per-job regeneration cost into a shared, cached decode.
 //
 // A campaign of W workloads × N configurations needs each instruction stream
@@ -17,31 +17,32 @@
 //
 // One container holds one workload's record stream:
 //
-//	header:  magic "MTC1" | uint8 version (1) | uint8 codec (1 = flate)
+//	header:  magic "MTC1" | uint8 version (2) | uint8 codec (0 = raw)
 //	         | uint32 LE chunkRecords
-//	chunks:  back-to-back flate frames; each frame holds exactly
-//	         chunkRecords records (the final frame may hold fewer),
-//	         encoded as in the trace file format — uint8 kind, zig-zag
-//	         varint PC delta, absolute varint load/store — with the PC
-//	         delta base reset to zero at every chunk boundary, so chunks
-//	         decode independently and in parallel
+//	chunks:  back-to-back frames; each frame holds exactly chunkRecords
+//	         records (the final frame may hold fewer), encoded as in the
+//	         trace file format — uint8 kind, zig-zag varint PC delta,
+//	         absolute varint load/store — with the PC delta base reset to
+//	         zero at every chunk boundary, so chunks decode independently
+//	         and in parallel
 //	index:   magic "MTCI" | uvarint chunkCount | per chunk:
-//	         uvarint recordCount | uvarint compressedLen
-//	         | uvarint uncompressedLen | uint32 LE CRC-32C of the frame
+//	         uvarint recordCount | uvarint frameLen
+//	         | uint32 LE CRC-32C of the frame
 //	tail:    uint64 LE indexOffset | uint64 LE totalRecords
 //	         | uint32 LE CRC-32C of the index bytes | magic "MTCX"
 //
 // Chunk offsets are not stored: they accumulate from the header end in index
-// order and must land exactly on the index offset, which (with the two CRCs)
-// makes truncation and splices detectable. All decode paths return
-// ErrCorrupt-wrapped errors on malformed input, never panic; FuzzChunkReader
-// holds that property.
+// order and must land exactly on the index offset, which (with the index
+// CRC) makes truncation and splices detectable at open. Every chunk decode
+// checks the frame's CRC before parsing it, so a damaged frame fails its
+// read instead of yielding different records. Version 1 containers (deflate
+// frames) are rejected as corrupt; a store rebuilds them. All decode paths
+// return ErrCorrupt-wrapped errors on malformed input, never panic;
+// FuzzChunkReader holds that property.
 package tracestore
 
 import (
-	"bufio"
 	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -57,8 +58,8 @@ const (
 	indexMagic  = "MTCI"
 	tailMagic   = "MTCX"
 
-	formatVersion = 1
-	codecFlate    = 1
+	formatVersion = 2
+	codecRaw      = 0
 
 	headerSize = 10 // magic(4) + version(1) + codec(1) + chunkRecords(4)
 	tailSize   = 24 // indexOffset(8) + totalRecords(8) + indexCRC(4) + magic(4)
@@ -104,8 +105,7 @@ func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 type chunkInfo struct {
 	offset  int64
 	records uint64
-	clen    uint64
-	ulen    uint64
+	size    uint64
 	crc     uint32
 }
 
@@ -115,19 +115,18 @@ type ChunkInfo struct {
 	Offset int64
 	// Records is the number of records in the chunk.
 	Records uint64
-	// CompressedLen and UncompressedLen are the frame sizes in bytes.
-	CompressedLen, UncompressedLen uint64
-	// CRC32C is the Castagnoli checksum of the compressed frame.
+	// Bytes is the frame's length.
+	Bytes uint64
+	// CRC32C is the Castagnoli checksum of the frame.
 	CRC32C uint32
 }
 
 // encodeChunk serialises records with the per-chunk delta encoding and
-// compresses the frame. It returns the compressed frame, the uncompressed
-// byte length, and the frame's CRC-32C.
-func encodeChunk(recs []trace.Record) (frame []byte, ulen int, crc uint32, err error) {
-	var raw bytes.Buffer
-	raw.Grow(len(recs) * 8)
-	var buf [maxRecordBytes]byte
+// returns the frame and its CRC-32C.
+func encodeChunk(recs []trace.Record) (frame []byte, crc uint32) {
+	// Workload streams average about 4 bytes per record; append grows the
+	// rare denser chunk.
+	frame = make([]byte, 0, len(recs)*5)
 	var lastPC arch.VAddr
 	for i := range recs {
 		r := &recs[i]
@@ -138,93 +137,70 @@ func encodeChunk(recs []trace.Record) (frame []byte, ulen int, crc uint32, err e
 		if r.HasStore() {
 			kind |= recHasStore
 		}
-		n := 0
-		buf[n] = kind
-		n++
-		n += binary.PutUvarint(buf[n:], zigzag(int64(r.PC)-int64(lastPC)))
+		frame = append(frame, kind)
+		frame = binary.AppendUvarint(frame, zigzag(int64(r.PC)-int64(lastPC)))
 		if r.HasLoad() {
-			n += binary.PutUvarint(buf[n:], uint64(r.Load))
+			frame = binary.AppendUvarint(frame, uint64(r.Load))
 		}
 		if r.HasStore() {
-			n += binary.PutUvarint(buf[n:], uint64(r.Store))
+			frame = binary.AppendUvarint(frame, uint64(r.Store))
 		}
 		lastPC = r.PC
-		raw.Write(buf[:n])
 	}
-	var comp bytes.Buffer
-	comp.Grow(raw.Len() / 2)
-	fw, err := flate.NewWriter(&comp, flate.BestSpeed)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	if _, err := fw.Write(raw.Bytes()); err != nil {
-		return nil, 0, 0, err
-	}
-	if err := fw.Close(); err != nil {
-		return nil, 0, 0, err
-	}
-	frame = comp.Bytes()
-	return frame, raw.Len(), crc32.Checksum(frame, castagnoli), nil
+	return frame, crc32.Checksum(frame, castagnoli)
 }
 
-// decodeChunk decompresses and decodes one frame, appending exactly `want`
-// records to dst. The decode is streaming (no uncompressed-length-sized
-// allocation, so a corrupt index cannot demand one), and the declared
-// uncompressed length is verified against the bytes actually produced.
-func decodeChunk(frame []byte, want, ulen uint64, dst []trace.Record) ([]trace.Record, error) {
-	cr := &countingReader{r: flate.NewReader(bytes.NewReader(frame))}
-	br := bufio.NewReaderSize(cr, 32<<10)
+// decodeChunk checks a frame against its index CRC and decodes it, appending
+// exactly `want` records to dst. The CRC comes first: a damaged frame can
+// otherwise still parse, into different records.
+func decodeChunk(frame []byte, want uint64, crc uint32, dst []trace.Record) ([]trace.Record, error) {
+	if got := crc32.Checksum(frame, castagnoli); got != crc {
+		return dst, corrupt("chunk checksum %#08x, index says %#08x", got, crc)
+	}
+	p := frame
 	var lastPC arch.VAddr
 	for n := uint64(0); n < want; n++ {
-		kind, err := br.ReadByte()
-		if err != nil {
+		if len(p) == 0 {
 			return dst, corrupt("chunk truncated at record %d of %d", n, want)
 		}
+		kind := p[0]
 		if kind > recKindMax {
 			return dst, corrupt("chunk record kind %#x", kind)
 		}
-		du, err := binary.ReadUvarint(br)
-		if err != nil {
+		// Most PC deltas are the one-byte sequential step; decode those
+		// inline.
+		var du uint64
+		var k int
+		if len(p) > 1 && p[1] < 0x80 {
+			du, k = uint64(p[1]), 1
+		} else if du, k = binary.Uvarint(p[1:]); k <= 0 {
 			return dst, corrupt("chunk pc delta at record %d", n)
 		}
+		p = p[1+k:]
 		lastPC = arch.VAddr(int64(lastPC) + unzigzag(du))
 		rec := trace.Record{PC: lastPC}
 		if kind&recHasLoad != 0 {
-			v, err := binary.ReadUvarint(br)
-			if err != nil {
+			v, k := binary.Uvarint(p)
+			if k <= 0 {
 				return dst, corrupt("chunk load address at record %d", n)
 			}
+			p = p[k:]
 			rec.Load = arch.VAddr(v)
 		}
 		if kind&recHasStore != 0 {
-			v, err := binary.ReadUvarint(br)
-			if err != nil {
+			v, k := binary.Uvarint(p)
+			if k <= 0 {
 				return dst, corrupt("chunk store address at record %d", n)
 			}
+			p = p[k:]
 			rec.Store = arch.VAddr(v)
 		}
 		dst = append(dst, rec)
 	}
-	if _, err := br.ReadByte(); err != io.EOF {
-		return dst, corrupt("chunk has trailing bytes after %d records", want)
-	}
-	if cr.n != int64(ulen) {
-		return dst, corrupt("chunk uncompressed length %d, index says %d", cr.n, ulen)
+	if len(p) != 0 {
+		return dst, corrupt("chunk has %d trailing bytes after %d records", len(p), want)
 	}
 	return dst, nil
-}
-
-// countingReader counts the bytes produced by the decompressor so the
-// index's declared uncompressed length can be verified without trusting it.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
 }
 
 // containerWriter appends frames to a container and finishes it with the
@@ -242,7 +218,7 @@ func newContainerWriter(w io.Writer, chunkRecords int) (*containerWriter, error)
 	var head [headerSize]byte
 	copy(head[:], headerMagic)
 	head[4] = formatVersion
-	head[5] = codecFlate
+	head[5] = codecRaw
 	binary.LittleEndian.PutUint32(head[6:], uint32(chunkRecords))
 	if _, err := w.Write(head[:]); err != nil {
 		return nil, err
@@ -251,16 +227,15 @@ func newContainerWriter(w io.Writer, chunkRecords int) (*containerWriter, error)
 	return cw, nil
 }
 
-// writeFrame appends one compressed chunk frame and records its index entry.
-func (cw *containerWriter) writeFrame(frame []byte, records, ulen int, crc uint32) error {
+// writeFrame appends one chunk frame and records its index entry.
+func (cw *containerWriter) writeFrame(frame []byte, records int, crc uint32) error {
 	if _, err := cw.w.Write(frame); err != nil {
 		return err
 	}
 	cw.chunks = append(cw.chunks, chunkInfo{
 		offset:  cw.off,
 		records: uint64(records),
-		clen:    uint64(len(frame)),
-		ulen:    uint64(ulen),
+		size:    uint64(len(frame)),
 		crc:     crc,
 	})
 	cw.off += int64(len(frame))
@@ -279,8 +254,7 @@ func (cw *containerWriter) finish() error {
 	putUvarint(uint64(len(cw.chunks)))
 	for _, c := range cw.chunks {
 		putUvarint(c.records)
-		putUvarint(c.clen)
-		putUvarint(c.ulen)
+		putUvarint(c.size)
 		var crc [4]byte
 		binary.LittleEndian.PutUint32(crc[:], c.crc)
 		idx.Write(crc[:])
@@ -314,9 +288,9 @@ func parseContainer(src io.ReaderAt, size int64) (chunkRecords int, total uint64
 		return 0, 0, nil, corrupt("bad magic %q", head[:4])
 	}
 	if head[4] != formatVersion {
-		return 0, 0, nil, corrupt("unsupported version %d", head[4])
+		return 0, 0, nil, corrupt("unsupported format version %d, want %d", head[4], formatVersion)
 	}
-	if head[5] != codecFlate {
+	if head[5] != codecRaw {
 		return 0, 0, nil, corrupt("unsupported codec %d", head[5])
 	}
 	cr := binary.LittleEndian.Uint32(head[6:])
@@ -354,8 +328,8 @@ func parseContainer(src io.ReaderAt, size int64) (chunkRecords int, total uint64
 		return 0, 0, nil, corrupt("index chunk count")
 	}
 	idx = idx[n:]
-	// Each entry is at least three 1-byte varints plus the 4-byte CRC.
-	if nChunks > uint64(len(idx))/7+1 {
+	// Each entry is at least two 1-byte varints plus the 4-byte CRC.
+	if nChunks > uint64(len(idx))/6+1 {
 		return 0, 0, nil, corrupt("index claims %d chunks in %d bytes", nChunks, len(idx))
 	}
 	chunks = make([]chunkInfo, 0, nChunks)
@@ -363,7 +337,7 @@ func parseContainer(src io.ReaderAt, size int64) (chunkRecords int, total uint64
 	var sum uint64
 	for i := uint64(0); i < nChunks; i++ {
 		var c chunkInfo
-		var fields [3]uint64
+		var fields [2]uint64
 		for f := range fields {
 			v, n := binary.Uvarint(idx)
 			if n <= 0 {
@@ -372,7 +346,7 @@ func parseContainer(src io.ReaderAt, size int64) (chunkRecords int, total uint64
 			fields[f] = v
 			idx = idx[n:]
 		}
-		c.records, c.clen, c.ulen = fields[0], fields[1], fields[2]
+		c.records, c.size = fields[0], fields[1]
 		if len(idx) < 4 {
 			return 0, 0, nil, corrupt("index entry %d truncated", i)
 		}
@@ -384,14 +358,14 @@ func parseContainer(src io.ReaderAt, size int64) (chunkRecords int, total uint64
 		if i+1 < nChunks && c.records != uint64(chunkRecords) {
 			return 0, 0, nil, corrupt("interior chunk %d holds %d records, want %d", i, c.records, chunkRecords)
 		}
-		if c.clen == 0 || int64(c.clen) > indexOff-off {
-			return 0, 0, nil, corrupt("chunk %d frame length %d exceeds data region", i, c.clen)
+		if c.size < c.records*minRecordBytes || c.size > c.records*maxRecordBytes {
+			return 0, 0, nil, corrupt("chunk %d frame length %d implausible for %d records", i, c.size, c.records)
 		}
-		if c.ulen < c.records*minRecordBytes || c.ulen > c.records*maxRecordBytes {
-			return 0, 0, nil, corrupt("chunk %d uncompressed length %d implausible for %d records", i, c.ulen, c.records)
+		if int64(c.size) > indexOff-off {
+			return 0, 0, nil, corrupt("chunk %d frame length %d exceeds data region", i, c.size)
 		}
 		c.offset = off
-		off += int64(c.clen)
+		off += int64(c.size)
 		sum += c.records
 		chunks = append(chunks, c)
 	}

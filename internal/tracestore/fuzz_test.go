@@ -32,6 +32,10 @@ func FuzzChunkReader(f *testing.F) {
 	}
 	f.Add([]byte("MTC1"))
 	f.Add([]byte{})
+	// One flipped frame bit: the index is intact, the frame CRC is not.
+	flipped := buildContainer(f, recs[:200], 64)
+	flipped[headerSize+1] ^= 1
+	f.Add(flipped)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := OpenBytes(data)

@@ -1,12 +1,17 @@
 package tracestore
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
+	"morrigan/internal/trace"
 	"morrigan/internal/workloads"
 )
 
@@ -238,5 +243,112 @@ func TestStoreDamagedContainerRebuilds(t *testing.T) {
 	}
 	if err := c.Verify(); err != nil {
 		t.Fatalf("rebuilt container Verify: %v", err)
+	}
+}
+
+// v1Fixture is a version-1 (deflate) container of testSpec(v1Seed)'s first
+// v1Records records in 256-record chunks, written by the format-1 builder.
+const (
+	v1Fixture = "testdata/v1-seed606.mtc"
+	v1Seed    = 606
+	v1Records = 1000
+)
+
+// TestStoreRebuildsVersion1Container: a manifest entry naming a version-1
+// container is dropped and rebuilt, so the store serves a current-format
+// corpus of the same records and records the rebuild in its manifest.
+func TestStoreRebuildsVersion1Container(t *testing.T) {
+	dir := t.TempDir()
+	spec := testSpec(v1Seed)
+	old, err := os.ReadFile(v1Fixture)
+	if err != nil {
+		t.Fatalf("reading fixture: %v", err)
+	}
+	if old[4] != 1 {
+		t.Fatalf("fixture is format version %d, want 1", old[4])
+	}
+	// Named as the store names the workload's container, as in a store
+	// directory written by the format-1 code.
+	file := fmt.Sprintf("%s-%s.mtc", sanitizeName(spec.Name), spec.Hash()[:12])
+	if err := os.WriteFile(filepath.Join(dir, file), old, 0o644); err != nil {
+		t.Fatalf("WriteFile: %v", err)
+	}
+	m := Manifest{Schema: ManifestSchemaVersion, Entries: map[string]ManifestEntry{
+		spec.Hash(): {Workload: spec.Name, File: file, Records: v1Records, ChunkRecords: 256, CreatedUnix: 1},
+	}}
+	raw, err := json.Marshal(m)
+	if err != nil {
+		t.Fatalf("Marshal: %v", err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, manifestName), raw, 0o644); err != nil {
+		t.Fatalf("WriteFile: %v", err)
+	}
+
+	s, err := Open(Options{Dir: dir, ChunkRecords: 256})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer s.Close()
+	c, err := s.Materialize(spec, v1Records)
+	if err != nil {
+		t.Fatalf("Materialize over a version-1 container: %v", err)
+	}
+	want, err := trace.Slice(spec.NewReader(), v1Records)
+	if err != nil {
+		t.Fatalf("generating records: %v", err)
+	}
+	got, err := trace.Slice(c.NewReader(), v1Records+1)
+	if err != nil {
+		t.Fatalf("reading the rebuilt corpus: %v", err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("rebuilt corpus holds %d records, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("rebuilt record %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+
+	m, err = ReadManifest(dir)
+	if err != nil {
+		t.Fatalf("ReadManifest: %v", err)
+	}
+	e, ok := m.Entries[spec.Hash()]
+	if !ok || e.CreatedUnix == 1 || e.Records != v1Records {
+		t.Fatalf("manifest entry after rebuild = %+v, want a rewritten %d-record entry", e, v1Records)
+	}
+	rebuilt, err := os.ReadFile(filepath.Join(dir, e.File))
+	if err != nil {
+		t.Fatalf("reading the rebuilt container: %v", err)
+	}
+	if rebuilt[4] != formatVersion {
+		t.Fatalf("rebuilt container is format version %d, want %d", rebuilt[4], formatVersion)
+	}
+}
+
+// TestStoreIngestVersion1Fails: ingesting a version-1 container fails with
+// ErrCorrupt naming the version, and registers nothing.
+func TestStoreIngestVersion1Fails(t *testing.T) {
+	dir := t.TempDir()
+	spec := testSpec(v1Seed)
+	old, err := os.ReadFile(v1Fixture)
+	if err != nil {
+		t.Fatalf("reading fixture: %v", err)
+	}
+	s, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer s.Close()
+	_, err = s.Ingest(spec, bytes.NewReader(old))
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("Ingest of a version-1 container = %v, want ErrCorrupt naming version 1", err)
+	}
+	if _, ok := s.ContainerPath(spec.Hash()); ok {
+		t.Fatalf("a rejected container was registered in the manifest")
+	}
+	if files := containerFiles(t, dir); len(files) != 0 {
+		t.Fatalf("a rejected container was left in the store: %v", files)
 	}
 }

@@ -317,21 +317,52 @@ func TestCorruptContainer(t *testing.T) {
 	if err := c.Verify(); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Verify error = %v, want ErrCorrupt", err)
 	}
+	if _, err := streamEnd(c); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("read error = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestFrameBitFlipFailsRead flips bit 0 of each byte of frame 0 in turn. The
+// container still opens, since only the index is checked at open, and
+// streaming it must end in ErrCorrupt before io.EOF: a damaged frame must
+// never read back as different records.
+func TestFrameBitFlipFailsRead(t *testing.T) {
+	data := buildContainer(t, genRecords(t, 700), 256)
+	c, err := OpenBytes(data)
+	if err != nil {
+		t.Fatalf("OpenBytes: %v", err)
+	}
+	frame := c.Chunk(0)
+	undetected := 0
+	for off := frame.Offset; off < frame.Offset+int64(frame.Bytes); off++ {
+		cp := append([]byte(nil), data...)
+		cp[off] ^= 1
+		c, err := OpenBytes(cp)
+		if err != nil {
+			t.Fatalf("flip at byte %d: OpenBytes: %v", off, err)
+		}
+		if n, err := streamEnd(c); !errors.Is(err, ErrCorrupt) {
+			undetected++
+			t.Logf("flip at byte %d: read %d records, then %v", off, n, err)
+		}
+	}
+	if undetected > 0 {
+		t.Fatalf("%d of %d frame bit flips read without ErrCorrupt", undetected, frame.Bytes)
+	}
+}
+
+// streamEnd reads c record by record and returns the count read and the
+// error that ended the stream (io.EOF for a clean read).
+func streamEnd(c *Corpus) (uint64, error) {
 	r := c.NewReader()
 	defer r.Close()
 	var rec trace.Record
-	for i := 0; ; i++ {
+	for n := uint64(0); ; n++ {
 		if err := r.Next(&rec); err != nil {
-			if err == io.EOF {
-				t.Fatalf("damaged frame read to EOF without error")
-			}
-			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("read error = %v, want ErrCorrupt", err)
-			}
-			break
+			return n, err
 		}
-		if i > len(recs) {
-			t.Fatalf("read more records than the container holds")
+		if n >= c.Records() {
+			return n, errors.New("stream outran the index")
 		}
 	}
 }
